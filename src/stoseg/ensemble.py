@@ -124,9 +124,10 @@ def train_ensemble(
 def fuse_probs(maps: Sequence[np.ndarray]) -> np.ndarray:
     """Sum-rule fusion: the arithmetic mean of the members' probability maps.
 
-    Accumulates in float64, which makes the mean of float32 maps exact, so
-    fusing N copies of a map returns the map itself and the result does not
-    depend on member order.
+    Computed in float64 as ``m0 + sum(mi - m0) / N``. The deviations of
+    copies from the first map are exactly zero, so fusing N copies of a map
+    returns the map itself in float32 and float64 alike, and member order
+    changes the result only by float64 rounding.
     """
     maps = list(maps)
     if not maps:
@@ -135,8 +136,10 @@ def fuse_probs(maps: Sequence[np.ndarray]) -> np.ndarray:
     for i, m in enumerate(maps):
         if m.shape != shape:
             raise ValueError(f"map {i} has shape {m.shape}, expected {shape}")
+    m0 = np.asarray(maps[0], dtype=np.float64)
     stacked = np.stack([np.asarray(m, dtype=np.float64) for m in maps])
-    return stacked.sum(axis=0) / len(maps)
+    stacked -= m0
+    return m0 + stacked.sum(axis=0) / len(maps)
 
 
 def _fused_test_probs(models: Sequence[Model], test_set: Sequence[Sample], size: int):

@@ -3,7 +3,9 @@
 Tensors are plain numpy arrays in (batch, channel, height, width) layout,
 float32 during training and float64 when gradients are being verified.
 Every operation is a pure function, and all reductions happen in a fixed
-order, so repeated runs produce bit-identical results.
+order, so repeated runs produce bit-identical results. Convolution is
+im2col + GEMM over a read-only strided view of the padded input's patches:
+no index arrays, no gather, and at most one copy, to flatten that view.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass(frozen=True)
@@ -62,13 +65,13 @@ class ConvSpec:
         return oh, ow
 
 
-def _check_conv_args(x, weight, bias, spec):
+def _check_conv_args(x, weight, spec, bias=None):
     if x.ndim != 4:
         raise ValueError(f"input must be 4-D (n, c, h, w), got ndim {x.ndim}")
     want_w = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
     if weight.shape != want_w:
         raise ValueError(f"weight shape {weight.shape} != spec kernel {want_w}")
-    if bias.shape != (spec.out_channels,):
+    if bias is not None and bias.shape != (spec.out_channels,):
         raise ValueError(
             f"bias length {bias.shape} != out_channels {spec.out_channels}"
         )
@@ -78,36 +81,37 @@ def _check_conv_args(x, weight, bias, spec):
         )
 
 
-def _patch_indices(spec: ConvSpec, oh: int, ow: int):
-    d, s = spec.dilation, spec.stride
-    idx_h = (np.arange(spec.kernel_h) * d)[:, None] + (np.arange(oh) * s)[None, :]
-    idx_w = (np.arange(spec.kernel_w) * d)[:, None] + (np.arange(ow) * s)[None, :]
-    return idx_h, idx_w
-
-
-def _im2col(xp, spec, oh, ow):
-    # (n, c, kh, kw, oh, ow) gather, then flatten to (n, c*kh*kw, oh*ow)
-    idx_h, idx_w = _patch_indices(spec, oh, ow)
-    patches = xp[:, :, idx_h[:, None, :, None], idx_w[None, :, None, :]]
-    n, c = xp.shape[0], xp.shape[1]
-    return patches.reshape(n, c * spec.kernel_h * spec.kernel_w, oh * ow)
+def _patches(x, spec, oh, ow):
+    """Read-only (n, c, kh, kw, oh, ow) view of the receptive fields of the
+    zero-padded ``x``, sharing memory with the padded input."""
+    p, d, s = spec.padding, spec.dilation, spec.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    sn, sc, sh, sw = xp.strides
+    shape = xp.shape[:2] + (spec.kernel_h, spec.kernel_w, oh, ow)
+    return as_strided(xp, shape, (sn, sc, sh * d, sw * d, sh * s, sw * s), writeable=False)
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
-    """2-D convolution with stride, zero padding, and dilation."""
-    _check_conv_args(x, weight, bias, spec)
+    """2-D convolution with stride, zero padding, and dilation: one batched
+    matmul of the weights with the flattened patch view, reducing over
+    c*kh*kw in a fixed order."""
+    _check_conv_args(x, weight, spec, bias)
     n, _, h, w = x.shape
     oh, ow = spec.output_hw(h, w)
-    p = spec.padding
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    cols = _im2col(xp, spec, oh, ow)
+    cols = _patches(x, spec, oh, ow).reshape(n, -1, oh * ow)
     wmat = weight.reshape(spec.out_channels, -1)
     y = np.matmul(wmat, cols) + bias[:, None]
     return y.reshape(n, spec.out_channels, oh, ow)
 
 
 def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
-    """Gradients of conv2d: returns (dx, dweight, dbias)."""
+    """Gradients of conv2d: returns (dx, dweight, dbias).
+
+    dweight multiplies the upstream gradient by the forward pass's columns
+    per image, then sums over the batch in index order. dx scatters the
+    columns of W^T @ grad back onto the padded input one tap at a time.
+    """
+    _check_conv_args(x, weight, spec)
     n, _, h, w = x.shape
     oh, ow = spec.output_hw(h, w)
     if grad.shape != (n, spec.out_channels, oh, ow):
@@ -115,28 +119,23 @@ def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: C
             f"upstream shape {grad.shape} != output shape {(n, spec.out_channels, oh, ow)}"
         )
     p, d, s = spec.padding, spec.dilation, spec.stride
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-    cols = _im2col(xp, spec, oh, ow)
+    cols = _patches(x, spec, oh, ow).reshape(n, -1, oh * ow)
+    g2 = grad.reshape(n, spec.out_channels, oh * ow)
 
     dbias = grad.sum(axis=(0, 2, 3))
-
-    g_flat = grad.transpose(1, 0, 2, 3).reshape(spec.out_channels, -1)
-    c_flat = cols.transpose(0, 2, 1).reshape(n * oh * ow, -1)
-    dweight = np.matmul(g_flat, c_flat).reshape(weight.shape)
+    dweight = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
 
     wmat = weight.reshape(spec.out_channels, -1)
-    g2 = grad.reshape(n, spec.out_channels, oh * ow)
     dcols = np.matmul(wmat.T, g2)
     dpatch = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
 
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=x.dtype)
     for i in range(spec.kernel_h):
         for j in range(spec.kernel_w):
             dxp[
                 :, :, i * d : i * d + s * (oh - 1) + 1 : s, j * d : j * d + s * (ow - 1) + 1 : s
             ] += dpatch[:, :, i, j]
-    dx = dxp[:, :, p : p + h, p : p + w] if p else dxp
-    return np.ascontiguousarray(dx), dweight, dbias
+    return np.ascontiguousarray(dxp[:, :, p : p + h, p : p + w]), dweight, dbias
 
 
 def _axis_map(n_in: int, n_out: int):

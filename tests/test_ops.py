@@ -103,6 +103,87 @@ class TestConvBackward:
         with pytest.raises(ValueError, match="upstream"):
             ops.conv2d_backward(np.zeros((1, 1, 3, 3)), x, w, spec)
 
+    @pytest.mark.parametrize("x_shape,w_shape,match", [
+        ((1, 2, 4, 4), (1, 3, 3, 3), "input channels"),
+        ((1, 3, 4, 4), (1, 3, 3, 2), "weight shape"),
+        ((1, 3, 4, 4), (2, 3, 3, 3), "weight shape"),
+        ((3, 4, 4), (1, 3, 3, 3), "4-D"),
+    ])
+    def test_inputs_checked_against_spec(self, x_shape, w_shape, match):
+        spec = ops.ConvSpec(1, 3, 3, 3, padding=1)
+        with pytest.raises(ValueError, match=match):
+            ops.conv2d_backward(np.zeros((1, 1, 4, 4)), np.zeros(x_shape), np.zeros(w_shape), spec)
+
+    @pytest.mark.parametrize("kh,kw,stride,padding,dilation", [
+        (3, 3, 1, 0, 1), (3, 3, 1, 1, 1), (3, 3, 2, 1, 1), (3, 3, 1, 2, 2), (3, 3, 2, 2, 2),
+        (3, 3, 3, 0, 1), (1, 3, 1, 1, 1), (3, 1, 2, 1, 2), (2, 3, 1, 1, 1),
+    ])
+    def test_adjoint_identity_and_bias_count(self, kh, kw, stride, padding, dilation):
+        # <conv(x, w), g> == <x, dx> == <w, dw>, with conv from the loop oracle
+        rng = SplitMix64(kh * 31 + kw * 13 + stride * 7 + padding * 3 + dilation)
+        spec = ops.ConvSpec(4, 3, kh, kw, stride=stride, padding=padding, dilation=dilation)
+        x = rng.normal_array((2, 3, 7, 8))
+        w = rng.normal_array((4, 3, kh, kw))
+        y = conv2d_naive(x, w, np.zeros(4), stride=stride, padding=padding, dilation=dilation)
+        g = rng.normal_array(y.shape)
+        dx, dw, db = ops.conv2d_backward(g, x, w, spec)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        lhs = float(np.sum(y * g))
+        assert abs(lhs - float(np.sum(x * dx))) <= 1e-10
+        assert abs(lhs - float(np.sum(w * dw))) <= 1e-10
+        want_db = np.zeros(4)
+        for ni in range(y.shape[0]):
+            for oc in range(4):
+                for oy in range(y.shape[2]):
+                    for ox in range(y.shape[3]):
+                        want_db[oc] += g[ni, oc, oy, ox]
+        np.testing.assert_allclose(db, want_db, atol=1e-10)
+
+
+class TestStridedInputs:
+    """The patch view sits on ``x`` itself when padding is 0, so non-contiguous
+    inputs reach the strided view directly."""
+
+    @staticmethod
+    def _strided_inputs(dtype=np.float64):
+        base = SplitMix64(40).normal_array((2, 6, 7, 9)).astype(dtype)
+        return {
+            "channel_step": base[:, ::2],
+            "negative_width": base[:, :3, :, ::-1],
+            "both": base[:, 1::2, :, ::-1],
+        }
+
+    @pytest.mark.parametrize("kind", ["channel_step", "negative_width", "both"])
+    @pytest.mark.parametrize("kh,kw,stride,dilation", [(3, 3, 1, 1), (2, 3, 2, 1), (1, 1, 1, 1), (3, 3, 1, 2)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_contiguous_bit_for_bit(self, kind, kh, kw, stride, dilation, dtype):
+        x = self._strided_inputs(dtype)[kind]
+        assert not x.flags.c_contiguous
+        rng = SplitMix64(kh * 5 + kw + stride * 11 + dilation)
+        spec = ops.ConvSpec(4, 3, kh, kw, stride=stride, padding=0, dilation=dilation)
+        w = rng.normal_array((4, 3, kh, kw)).astype(dtype)
+        b = rng.normal_array((4,)).astype(dtype)
+        xc = np.ascontiguousarray(x)
+        y = ops.conv2d(x, w, b, spec)
+        np.testing.assert_array_equal(y, ops.conv2d(xc, w, b, spec))
+        g = rng.normal_array(y.shape).astype(dtype)
+        got = ops.conv2d_backward(g, x, w, spec)
+        for a, c in zip(got, ops.conv2d_backward(g, xc, w, spec)):
+            np.testing.assert_array_equal(a, c)
+        for a, c in zip(got, ops.conv2d_backward(g, x, w, spec)):
+            np.testing.assert_array_equal(a, c)
+
+    def test_patch_view_is_read_only(self):
+        x = self._strided_inputs()["negative_width"]
+        spec = ops.ConvSpec(1, 3, 3, 3)
+        oh, ow = spec.output_hw(7, 9)
+        view = ops._patches(x, spec, oh, ow)
+        assert view.shape == (2, 3, 3, 3, oh, ow)
+        assert not view.flags.writeable
+        assert np.shares_memory(view, x)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0, 0, 0, 0, 0] = 1.0
+
 
 class TestUpsample:
     def test_factor_one_is_identity(self):
