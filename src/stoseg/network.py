@@ -174,7 +174,8 @@ def forward(model: Model, images: np.ndarray):
     """Batched forward pass: (n, 3, S, S) -> probabilities (n, 2, S, S).
 
     Returns ``(probs, cache)`` where the cache holds the intermediates the
-    backward pass needs.
+    backward pass needs; ``cache["pre"]`` lists the inputs of the activation
+    sites in site order.
     """
     cfg = model.config
     if images.ndim != 4 or images.shape[1] != 3:
@@ -185,34 +186,28 @@ def forward(model: Model, images: np.ndarray):
         )
     specs = dict(model._layers)
     p = model.params
-    cache: dict = {"x": images}
+    pre: list[np.ndarray] = []  # activation-site inputs, in site order
 
     def conv(name, x):
         return ops.conv2d(x, p[f"{name}.w"], p[f"{name}.b"], specs[name])
 
-    z0 = conv("stem", images)
-    a0 = act_forward(z0, model.acts[0])
-    z1 = conv("down1", a0)
-    a1 = act_forward(z1, model.acts[1])
-    z2 = conv("down2", a1)
-    a2 = act_forward(z2, model.acts[2])
-    branches = []
-    branch_pre = []
-    for i in range(len(cfg.aspp_dilations)):
-        zb = conv(f"aspp{i}", a2)
-        branch_pre.append(zb)
-        branches.append(act_forward(zb, model.acts[3 + i]))
-    cat = np.concatenate(branches, axis=1)
-    zf = conv("fuse", cat)
-    af = act_forward(zf, model.acts[3 + len(cfg.aspp_dilations)])
+    def site(z):
+        pre.append(z)
+        return act_forward(z, model.acts[len(pre) - 1])
+
+    a0 = site(conv("stem", images))
+    a1 = site(conv("down1", a0))
+    a2 = site(conv("down2", a1))
+    cat = np.concatenate(
+        [site(conv(f"aspp{i}", a2)) for i in range(len(cfg.aspp_dilations))], axis=1
+    )
+    af = site(conv("fuse", cat))
     up = ops.upsample_bilinear(af, 4)
     logits = conv("head", up)
     probs = ops.softmax_channel(logits)
 
-    cache.update(
-        z0=z0, a0=a0, z1=z1, a1=a1, z2=z2, a2=a2,
-        branch_pre=branch_pre, cat=cat, zf=zf, af=af, up=up, probs=probs,
-    )
+    cache = {"x": images, "pre": pre, "a0": a0, "a1": a1, "a2": a2, "cat": cat,
+             "af": af, "up": up, "probs": probs}
     return probs, cache
 
 
@@ -229,8 +224,8 @@ def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndar
         grads[f"{name}.b"] = db
         return dx
 
-    def act_back(site, g, z):
-        dz, dpar = act_backward(z, model.acts[site], g)
+    def act_back(site, g):
+        dz, dpar = act_backward(cache["pre"][site], model.acts[site], g)
         if dpar.size:
             grads[f"act{site}.params"] = dpar
         return dz
@@ -240,21 +235,20 @@ def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndar
     dup = conv_back("head", dlogits, cache["up"])
     af = cache["af"]
     daf = ops.upsample_bilinear_backward(dup, af.shape[2], af.shape[3], 4)
-    dzf = act_back(3 + n_branch, daf, cache["zf"])
+    dzf = act_back(3 + n_branch, daf)
     dcat = conv_back("fuse", dzf, cache["cat"])
 
     da2 = np.zeros_like(cache["a2"])
     w = cfg.aspp_width
     for i in range(n_branch):
-        dbranch = dcat[:, i * w : (i + 1) * w]
-        dzb = act_back(3 + i, dbranch, cache["branch_pre"][i])
+        dzb = act_back(3 + i, dcat[:, i * w : (i + 1) * w])
         da2 += conv_back(f"aspp{i}", dzb, cache["a2"])
 
-    dz2 = act_back(2, da2, cache["z2"])
+    dz2 = act_back(2, da2)
     da1 = conv_back("down2", dz2, cache["a1"])
-    dz1 = act_back(1, da1, cache["z1"])
+    dz1 = act_back(1, da1)
     da0 = conv_back("down1", dz1, cache["a0"])
-    dz0 = act_back(0, da0, cache["z0"])
+    dz0 = act_back(0, da0)
     conv_back("stem", dz0, cache["x"])
     return grads
 
@@ -295,26 +289,55 @@ def save_model(path, model: Model) -> None:
     np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
+def _expected_arrays(config: NetworkConfig, assignment) -> dict[str, tuple[int, ...]]:
+    """Array key -> shape of every array a checkpoint of this model holds."""
+    shapes = {}
+    for name, spec in _conv_layers(config):
+        shapes[f"param:{name}.w"] = (spec.out_channels, spec.in_channels,
+                                     spec.kernel_h, spec.kernel_w)
+        shapes[f"param:{name}.b"] = (spec.out_channels,)
+    for i, (kind, ch) in enumerate(zip(assignment, config.site_channels())):
+        shapes[f"act:{i}"] = (PARAM_COUNTS[kind], ch)
+    return shapes
+
+
 def load_model(path) -> Model:
+    """Read a checkpoint, rejecting any missing, extra or mis-shaped array
+    with a ``ValueError`` that names the file and the key."""
     with np.load(path, allow_pickle=False) as data:
+        if "__meta__" not in data.files:
+            raise ValueError(f"{path}: not a model checkpoint (no __meta__ key)")
         meta = json.loads(str(data["__meta__"]))
         if meta.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(f"{path}: not a model checkpoint")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        cfg_d = meta["config"]
-        cfg_d["aspp_dilations"] = tuple(cfg_d["aspp_dilations"])
-        config = NetworkConfig(**cfg_d)
-        assignment = tuple(ActivationKind(v) for v in meta["assignment"])
-        dtype = np.dtype(meta["dtype"])
-        params = {k[len("param:"):]: data[k] for k in data.files if k.startswith("param:")}
-        acts = []
-        for i, (kind, ch) in enumerate(zip(assignment, config.site_channels())):
-            st = act_init(kind, ch, dtype=dtype)
-            stored = data[f"act:{i}"]
-            if stored.shape != (PARAM_COUNTS[kind], ch):
-                raise ValueError(f"{path}: activation {i} parameter shape mismatch")
-            st.params = stored
-            acts.append(st)
+        try:
+            cfg_d = dict(meta["config"])
+            cfg_d["aspp_dilations"] = tuple(cfg_d["aspp_dilations"])
+            config = NetworkConfig(**cfg_d)
+            assignment = tuple(ActivationKind(v) for v in meta["assignment"])
+            dtype = np.dtype(meta["dtype"])
+            init_seed = int(meta["init_seed"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
+        if len(assignment) != config.site_count:
+            raise ValueError(f"{path}: assignment has {len(assignment)} sites, "
+                             f"config has {config.site_count}")
+        expected = _expected_arrays(config, assignment)
+        missing = sorted(set(expected) - set(data.files))
+        unexpected = sorted(set(data.files) - set(expected) - {"__meta__"})
+        if missing or unexpected:
+            raise ValueError(f"{path}: missing arrays {missing}, unexpected arrays {unexpected}")
+        arrays = {}
+        for key, shape in expected.items():
+            arr = data[key]
+            if arr.shape != shape or arr.dtype != dtype:
+                raise ValueError(f"{path}: array {key!r} is {arr.dtype}{arr.shape}, "
+                                 f"expected {dtype}{shape}")
+            arrays[key] = arr
+    params = {k[len("param:"):]: v for k, v in arrays.items() if k.startswith("param:")}
+    acts = [ActivationState(kind=kind, channels=ch, params=arrays[f"act:{i}"])
+            for i, (kind, ch) in enumerate(zip(assignment, config.site_channels()))]
     return Model(config=config, assignment=assignment, params=params,
-                 acts=acts, init_seed=int(meta["init_seed"]))
+                 acts=acts, init_seed=init_seed)

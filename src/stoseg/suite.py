@@ -177,9 +177,8 @@ def _unflatten_into(params: dict[str, np.ndarray], keys, vec) -> None:
 
 def _min_kink_distance(model, cache) -> float:
     """Smallest distance from any activation input to that site's kink set."""
-    pre = [cache["z0"], cache["z1"], cache["z2"], *cache["branch_pre"], cache["zf"]]
     dmin = np.inf
-    for z, st in zip(pre, model.acts):
+    for z, st in zip(cache["pre"], model.acts, strict=True):
         for k in kink_points(st):
             dmin = min(dmin, float(np.abs(z - k).min()))
     return dmin

@@ -92,3 +92,56 @@ def metrics_naive(tp, tn, fp, fn):
     dice = 2 * tp / (2 * tp + fp + fn)
     return {"accuracy": acc, "precision": prec, "recall": rec, "f1": f1,
             "f2": f2, "iou": iou, "dice": dice}
+
+
+# Fixed-knot kinds, from the definitions in the activations module docstring.
+HAT_SCHEDULE = [(1.0, 1.0), (0.5, 0.5), (1.5, 0.5),
+                (0.25, 0.25), (0.75, 0.25), (1.25, 0.25), (1.75, 0.25)]
+APLU_HINGES = [-1.0, 0.0, 1.0]
+
+
+def _hat(x, c, w):
+    """max(0, w - |x - c|) and its right-hand slope."""
+    if c - w <= x < c:
+        slope = 1.0
+    elif c <= x < c + w:
+        slope = -1.0
+    else:
+        slope = 0.0
+    return max(0.0, w - abs(x - c)), slope
+
+
+def _piecewise_terms(kind, x):
+    """(value, right slope) of the parameter-free part and of each
+    parameter's term; the function is part + sum(param_r * term_r)."""
+    relu = (max(x, 0.0), 1.0 if x >= 0 else 0.0)
+    if kind == "aplu":
+        return relu, [(max(0.0, b - x), -1.0 if x < b else 0.0) for b in APLU_HINGES]
+    terms = [(min(x, 0.0), 0.0 if x >= 0 else 1.0)]  # prelu: relu(x) + c_0 * min(x, 0)
+    for c, w in HAT_SCHEDULE[: int(kind[-1]) - 1]:
+        h = _hat(x, c, w)
+        if kind.startswith("galu"):  # wave(c, w) = hat(c, w) - hat(c + 2w, w)
+            h2 = _hat(x, c + 2 * w, w)
+            h = (h[0] - h2[0], h[1] - h2[1])
+        terms.append(h)
+    return relu, terms
+
+
+def piecewise_naive(kind, x, params, up):
+    """Forward, input gradient and per-channel parameter gradients of
+    ``aplu``, ``melu4/8`` or ``galu4/8`` by scalar loops over (n, c, h, w)."""
+    y = np.zeros(x.shape)
+    dx = np.zeros(x.shape)
+    dparams = np.zeros(params.shape)
+    for idx in np.ndindex(*x.shape):
+        ch = idx[1]
+        (val, slope), terms = _piecewise_terms(kind, float(x[idx]))
+        u = float(up[idx])
+        for r, (g, g_slope) in enumerate(terms):
+            p = float(params[r, ch])
+            val += p * g
+            slope += p * g_slope
+            dparams[r, ch] += u * g
+        y[idx] = val
+        dx[idx] = u * slope
+    return y, dx, dparams

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import piecewise_naive
 from stoseg import suite
 from stoseg.activations import (
     ActivationKind,
@@ -14,6 +15,8 @@ from stoseg.activations import (
 from stoseg.rng import SplitMix64
 
 ALL_KINDS = default_pool()
+FIXED_KNOT_KINDS = [ActivationKind.APLU, ActivationKind.MELU4, ActivationKind.MELU8,
+                    ActivationKind.GALU4, ActivationKind.GALU8]
 
 
 def col(values, channels=1):
@@ -53,14 +56,6 @@ class TestInit:
         assert st.params.shape == (4, 8)
         np.testing.assert_array_equal(st.params[0], 0.25)  # prelu slope
         np.testing.assert_array_equal(st.params[1:], 0.0)  # hat coefficients
-        np.testing.assert_array_equal(st.consts["centers"], [1.0, 0.5, 1.5])
-        np.testing.assert_array_equal(st.consts["widths"], [1.0, 0.5, 0.5])
-
-    def test_melu8_takes_seven_hats(self):
-        st = act_init(ActivationKind.MELU8, 2)
-        np.testing.assert_array_equal(
-            st.consts["centers"], [1.0, 0.5, 1.5, 0.25, 0.75, 1.25, 1.75]
-        )
 
     def test_swish_learnable_init(self):
         st = act_init(ActivationKind.SWISH_LEARNABLE, 4)
@@ -69,11 +64,6 @@ class TestInit:
     def test_srelu_init_is_identity_like(self):
         st = act_init(ActivationKind.SRELU, 3)
         np.testing.assert_array_equal(st.params[:, 0], [0.0, 0.0, 1.0, 1.0])
-
-    def test_aplu_hinges_evenly_spaced(self):
-        st = act_init(ActivationKind.APLU, 2)
-        np.testing.assert_array_equal(st.consts["hinges"], [-1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(st.params, 0.0)
 
     def test_soft_root_sign_init(self):
         st = act_init(ActivationKind.SOFT_ROOT_SIGN, 2)
@@ -136,6 +126,13 @@ class TestForward:
         assert y1.shape == x.shape
         np.testing.assert_array_equal(y1, y2)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_float32_stays_float32(self, kind):
+        st = act_init(kind, 3)
+        x = SplitMix64(9).normal_array((2, 3, 4, 5)).astype(np.float32)
+        dx, dp = act_backward(x, st, np.ones_like(x))
+        assert (act_forward(x, st).dtype, dx.dtype, dp.dtype) == (np.float32,) * 3
+
 
 class TestBackward:
     def test_relu_gate(self):
@@ -165,6 +162,23 @@ class TestBackward:
             act_backward(np.zeros((1, 1, 2, 2)), st, np.zeros((1, 1, 2, 3)))
 
 
+class TestFixedKnotOracle:
+    @pytest.mark.parametrize("kind", FIXED_KNOT_KINDS)
+    def test_matches_scalar_oracle(self, kind):
+        st = act_init(kind, 3, dtype=np.float64)
+        suite._noise_params(st, SplitMix64(11))
+        rng = SplitMix64(12)
+        x = rng.uniform_array(2 * 3 * 4 * 24).reshape(2, 3, 4, 24) * 7.0 - 2.5
+        # every multiple of 1/4 in [-1, 4], which includes every knot, in every channel
+        x[0, :, 0, :21] = np.arange(21) * 0.25 - 1.0
+        up = rng.normal_array(x.shape)
+        y_ref, dx_ref, dp_ref = piecewise_naive(kind.value, x, st.params, up)
+        dx, dp = act_backward(x, st, up)
+        np.testing.assert_allclose(act_forward(x, st), y_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx, dx_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dp, dp_ref, rtol=1e-12, atol=1e-12)
+
+
 class TestGradcheck:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_all_kinds_pass_at_1e4(self, kind):
@@ -182,3 +196,13 @@ class TestContinuity:
             vals = act_forward(col([k - eps, k, k + eps]), st).ravel()
             assert abs(vals[0] - vals[1]) < 5e-6
             assert abs(vals[2] - vals[1]) < 5e-6
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_backward_takes_right_derivative_at_kinks(self, kind):
+        st = act_init(kind, 1, dtype=np.float64)
+        suite._noise_params(st, SplitMix64(77))
+        h = 1e-7
+        for k in kink_points(st):
+            f0, f1 = act_forward(col([k, k + h]), st).ravel()
+            dx, _ = act_backward(col([k]), st, col([1.0]))
+            assert abs(dx.ravel()[0] - (f1 - f0) / h) <= 1e-6, f"kink at {k}"

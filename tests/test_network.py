@@ -1,8 +1,11 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from stoseg import network
-from stoseg.activations import ActivationKind, default_pool
+from stoseg import cli, network
+from stoseg.activations import ActivationKind, act_forward, default_pool
 from stoseg.rng import SplitMix64
 
 
@@ -158,6 +161,15 @@ class TestGradMap:
         for k in grads:
             assert grads[k].shape == params[k].shape
 
+    def test_cache_lists_site_inputs_in_order(self):
+        cfg = small_config()
+        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 3)
+        m = network.build_model(cfg, asn, 3)
+        img = SplitMix64(2).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16).astype(np.float32)
+        _, cache = network.forward(m, img)
+        assert [z.shape[1] for z in cache["pre"]] == list(cfg.site_channels())
+        np.testing.assert_array_equal(act_forward(cache["pre"][0], m.acts[0]), cache["a0"])
+
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -192,3 +204,60 @@ class TestCheckpoint:
         np.savez(path, __meta__=np.array('{"format": "other"}'), x=np.zeros(3))
         with pytest.raises(ValueError, match="checkpoint"):
             network.load_model(path)
+
+
+def _meta_edit(edit):
+    """Tamper that rewrites the JSON metadata with ``edit(meta)``."""
+    def tamper(arrays):
+        meta = json.loads(str(arrays["__meta__"]))
+        edit(meta)
+        arrays["__meta__"] = np.array(json.dumps(meta))
+    return tamper
+
+
+# name -> (edit of the saved arrays, key the error must name)
+TAMPERS = {
+    "wrong_weight_shape": (lambda a: a.update({"param:down1.w": a["param:down1.w"][:, :-1]}),
+                           "param:down1.w"),
+    "wrong_bias_dtype": (lambda a: a.update({"param:stem.b": a["param:stem.b"].astype(np.float64)}),
+                         "param:stem.b"),
+    "wrong_act_shape": (lambda a: a.update({"act:6": np.zeros((a["act:6"].shape[0] + 1, 8))}),
+                        "act:6"),
+    "missing_bias": (lambda a: a.pop("param:head.b"), "param:head.b"),
+    "missing_act": (lambda a: a.pop("act:3"), "act:3"),
+    "missing_meta": (lambda a: a.pop("__meta__"), "__meta__"),
+    "unexpected_array": (lambda a: a.update({"param:extra.w": np.zeros(2, np.float32)}),
+                         "param:extra.w"),
+    "short_assignment": (_meta_edit(lambda m: m["assignment"].pop()), "assignment"),
+    "missing_dtype": (_meta_edit(lambda m: m.pop("dtype")), "dtype"),
+}
+
+
+def tampered_checkpoint(tmp_path, name):
+    cfg = small_config()
+    asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 21)
+    good = tmp_path / "good.npz"
+    network.save_model(good, network.build_model(cfg, asn, 21))
+    with np.load(good) as data:
+        arrays = {k: data[k] for k in data.files}
+    edit, key = TAMPERS[name]
+    edit(arrays)
+    bad = tmp_path / f"{name}.npz"
+    np.savez(bad, **arrays)
+    return bad, key
+
+
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("name", sorted(TAMPERS))
+    def test_rejected_naming_file_and_key(self, tmp_path, name):
+        bad, key = tampered_checkpoint(tmp_path, name)
+        with pytest.raises(ValueError, match=re.escape(key)) as err:
+            network.load_model(bad)
+        assert str(bad) in str(err.value)
+
+    def test_cli_reports_bad_checkpoint(self, tmp_path, capsys):
+        bad, key = tampered_checkpoint(tmp_path, "missing_act")
+        code = cli.main(["eval", "--out", str(tmp_path / "out"), "--checkpoint", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and key in err
