@@ -135,6 +135,17 @@ def train_config(cfg, seed: int) -> TrainConfig:
     )
 
 
+def ensemble_spec(cfg, seed: int) -> ens_mod.EnsembleSpec:
+    return ens_mod.EnsembleSpec(
+        mode=cfg["ensemble.mode"],
+        size=_as_int(cfg, "ensemble.size"),
+        master_seed=derive_seed(seed, TAG_ENSEMBLE),
+        network=network_config(cfg),
+        train=train_config(cfg, seed),
+        pool_size=_as_int(cfg, "ensemble.pool_size"),
+    )
+
+
 def load_dataset(cfg, seed: int) -> data_mod.Dataset:
     source = cfg["data.source"]
     if source == "synth":
@@ -242,14 +253,7 @@ def cmd_eval(cfg, checkpoint: str) -> int:
 def cmd_ensemble(cfg, parallel: int) -> int:
     out = _prepare_out(cfg)
     seed = _as_int(cfg, "seed")
-    spec = ens_mod.EnsembleSpec(
-        mode=cfg["ensemble.mode"],
-        size=_as_int(cfg, "ensemble.size"),
-        master_seed=derive_seed(seed, TAG_ENSEMBLE),
-        network=network_config(cfg),
-        train=train_config(cfg, seed),
-        pool_size=_as_int(cfg, "ensemble.pool_size"),
-    )
+    spec = ensemble_spec(cfg, seed)
     ds = load_dataset(cfg, seed)
     train_ds, test_ds = split_dataset(cfg, ds, seed)
     train_samples = [data_mod.resize_for_train(s, spec.network.input_size) for s in train_ds]

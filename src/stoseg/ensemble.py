@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -172,32 +172,61 @@ def evaluate_model(model: Model, test_set: Sequence[Sample]) -> MetricReport:
     return evaluate_models([model], test_set, model.config.input_size)
 
 
+def _member_path(directory: Path, index: int) -> Path:
+    return directory / f"member_{index:03d}.npz"
+
+
+def _spec_record(spec: EnsembleSpec) -> dict:
+    """The manifest entries that describe ``spec``."""
+    return {
+        "mode": spec.mode,
+        "size": spec.size,
+        "master_seed": spec.master_seed,
+        "pool": [k.value for k in spec.pool()],
+        "pool_size": spec.pool_size,
+    }
+
+
 def save_ensemble(directory, ens: Ensemble) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for i, m in enumerate(ens.members):
-        save_model(directory / f"member_{i:03d}.npz", m)
+        save_model(_member_path(directory, i), m)
     manifest = {
         "format": "stoseg-ensemble",
         "version": 1,
-        "mode": ens.spec.mode,
-        "size": ens.spec.size,
-        "master_seed": ens.spec.master_seed,
+        **_spec_record(ens.spec),
         "member_seeds": ens.member_seeds,
-        "pool": [k.value for k in ens.spec.pool()],
-        "pool_size": ens.spec.pool_size,
     }
     (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 def load_ensemble(directory, spec: EnsembleSpec) -> Ensemble:
-    """Reload members saved by save_ensemble; ``spec`` supplies the train and
-    network config the manifest does not store."""
+    """Reload members saved by save_ensemble.
+
+    ``spec`` supplies the train config the manifest does not store. The
+    manifest's mode, size, master seed, pool and seed count, and every
+    member's network config, must match ``spec``; a mismatch raises a
+    ``ValueError`` naming the manifest or member file and the key.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / MANIFEST_NAME).read_text())
+    path = directory / MANIFEST_NAME
+    manifest = json.loads(path.read_text())
     if manifest.get("format") != "stoseg-ensemble":
-        raise ValueError(f"{directory}: not an ensemble checkpoint")
-    members = [
-        load_model(directory / f"member_{i:03d}.npz") for i in range(manifest["size"])
-    ]
-    return Ensemble(members=members, spec=spec, member_seeds=manifest["member_seeds"])
+        raise ValueError(f"{path}: not an ensemble checkpoint")
+    for key, want in _spec_record(spec).items():
+        if manifest.get(key) != want:
+            raise ValueError(f"{path}: {key} is {manifest.get(key)!r}, spec has {want!r}")
+    seeds = manifest.get("member_seeds", [])
+    if len(seeds) != spec.size:
+        raise ValueError(f"{path}: member_seeds has {len(seeds)} entries, spec size is {spec.size}")
+    members = []
+    for i in range(spec.size):
+        member = _member_path(directory, i)
+        model = load_model(member)
+        for f in fields(NetworkConfig):
+            got, want = getattr(model.config, f.name), getattr(spec.network, f.name)
+            if got != want:
+                raise ValueError(f"{member}: config {f.name} is {got!r}, spec has {want!r}")
+        members.append(model)
+    return Ensemble(members=members, spec=spec, member_seeds=seeds)

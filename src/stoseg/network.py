@@ -1,14 +1,21 @@
 """Small encoder-decoder segmentation network with a dilated-conv pyramid.
 
-Topology (activation sites A1..A7 for the default three-dilation config):
+The encoder is one table, ``_stages(config)``: an ordered list of stages,
+each a list of ``(name, ConvSpec)`` branches. Every branch of a stage reads
+the previous stage's output (the first stage reads the image) and feeds one
+activation site. Sites are numbered in table order, and a stage's output is
+its branches' activations concatenated on channels. The stages are:
 
-    stem   3x3 conv, 3 -> stem_width, pad 1              + A1
-    down1  3x3 conv, stride 2, stem -> down_width        + A2
-    down2  3x3 conv, stride 2, down -> down_width        + A3
-    pyramid: one 3x3 conv per dilation d (pad d),
-             down -> aspp_width                          + A4..A(3+k)
-    concat branches, 1x1 conv -> fuse_width              + A(4+k)
-    bilinear upsample x4, 1x1 conv -> num_classes, softmax
+    stem      3x3 conv, 3 -> stem_width, pad 1
+    down1     3x3 conv, stride 2, stem_width -> down_width
+    down2     3x3 conv, stride 2, down_width -> down_width
+    pyramid   one branch per dilation d: 3x3 conv, pad d, down_width -> aspp_width
+    fuse      1x1 conv, branches * aspp_width -> fuse_width
+
+The decoder follows the table: bilinear upsample x4, a 1x1 ``head`` conv to
+num_classes, and a channel softmax. The forward and backward passes, the
+site count and channels, parameter init and checkpoint validation all walk
+the table.
 
 Gradients are exchanged as a "GradMap": a plain dict from parameter name
 ("stem.w", "act0.params", ...) to an array of the parameter's shape.
@@ -16,7 +23,9 @@ Gradients are exchanged as a "GradMap": a plain dict from parameter name
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +38,10 @@ CHECKPOINT_FORMAT = "stoseg-model"
 CHECKPOINT_VERSION = 1
 
 ASSIGNMENT_MODES = ("act", "sto", "relu")
+
+_UPSAMPLE = 4  # decoder upsampling factor
+
+Layer = tuple[str, ops.ConvSpec]
 
 
 @dataclass(frozen=True)
@@ -56,33 +69,34 @@ class NetworkConfig:
 
     @property
     def site_count(self) -> int:
-        return 4 + len(self.aspp_dilations)
+        return len(self.site_channels())
 
     def site_channels(self) -> tuple[int, ...]:
-        return (
-            self.stem_width,
-            self.down_width,
-            self.down_width,
-            *([self.aspp_width] * len(self.aspp_dilations)),
-            self.fuse_width,
-        )
+        """Channels of each activation site, in site order."""
+        return tuple(spec.out_channels for stage in _stages(self) for _, spec in stage)
 
 
-def _conv_layers(cfg: NetworkConfig) -> list[tuple[str, ops.ConvSpec]]:
-    layers = [
-        ("stem", ops.ConvSpec(cfg.stem_width, 3, 3, 3, stride=1, padding=1)),
-        ("down1", ops.ConvSpec(cfg.down_width, cfg.stem_width, 3, 3, stride=2, padding=1)),
-        ("down2", ops.ConvSpec(cfg.down_width, cfg.down_width, 3, 3, stride=2, padding=1)),
+def _stages(cfg: NetworkConfig) -> list[list[Layer]]:
+    """The encoder as data: stages of branches, each branch one conv layer
+    followed by one activation site (see the module docstring)."""
+    return [
+        [("stem", ops.ConvSpec(cfg.stem_width, 3, 3, 3, padding=1))],
+        [("down1", ops.ConvSpec(cfg.down_width, cfg.stem_width, 3, 3, stride=2, padding=1))],
+        [("down2", ops.ConvSpec(cfg.down_width, cfg.down_width, 3, 3, stride=2, padding=1))],
+        [(f"aspp{i}", ops.ConvSpec(cfg.aspp_width, cfg.down_width, 3, 3, padding=d, dilation=d))
+         for i, d in enumerate(cfg.aspp_dilations)],
+        [("fuse", ops.ConvSpec(cfg.fuse_width, cfg.aspp_width * len(cfg.aspp_dilations), 1, 1))],
     ]
-    for i, d in enumerate(cfg.aspp_dilations):
-        layers.append(
-            (f"aspp{i}", ops.ConvSpec(cfg.aspp_width, cfg.down_width, 3, 3,
-                                      stride=1, padding=d, dilation=d))
-        )
-    cat = cfg.aspp_width * len(cfg.aspp_dilations)
-    layers.append(("fuse", ops.ConvSpec(cfg.fuse_width, cat, 1, 1)))
-    layers.append(("head", ops.ConvSpec(cfg.num_classes, cfg.fuse_width, 1, 1)))
-    return layers
+
+
+def _head(cfg: NetworkConfig) -> Layer:
+    """The decoder's 1x1 conv from the upsampled features to class logits."""
+    return ("head", ops.ConvSpec(cfg.num_classes, cfg.fuse_width, 1, 1))
+
+
+def _conv_layers(cfg: NetworkConfig) -> list[Layer]:
+    """Every conv layer: the table's branches in site order, then the head."""
+    return [layer for stage in _stages(cfg) for layer in stage] + [_head(cfg)]
 
 
 def assign_activations(
@@ -119,15 +133,17 @@ class Model:
     params: dict[str, np.ndarray]  # "<layer>.w" / "<layer>.b"
     acts: list[ActivationState]
     init_seed: int
-    _layers: list[tuple[str, ops.ConvSpec]] = field(repr=False, default=None)
+    # the layer table of ``config``, built once per model
+    _stages: list[list[Layer]] = field(init=False, repr=False, compare=False)
+    _head: Layer = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._layers is None:
-            self._layers = _conv_layers(self.config)
+        self._stages = _stages(self.config)
+        self._head = _head(self.config)
 
     @property
     def dtype(self):
-        return self.params["stem.w"].dtype
+        return next(iter(self.params.values())).dtype
 
     def parameters(self) -> dict[str, np.ndarray]:
         """All trainable arrays by name; values alias the live storage."""
@@ -170,12 +186,18 @@ def build_model(
                  acts=acts, init_seed=init_seed)
 
 
+def _conv(model: Model, layer: Layer, x: np.ndarray) -> np.ndarray:
+    name, spec = layer
+    return ops.conv2d(x, model.params[f"{name}.w"], model.params[f"{name}.b"], spec)
+
+
 def forward(model: Model, images: np.ndarray):
     """Batched forward pass: (n, 3, S, S) -> probabilities (n, 2, S, S).
 
     Returns ``(probs, cache)`` where the cache holds the intermediates the
-    backward pass needs; ``cache["pre"]`` lists the inputs of the activation
-    sites in site order.
+    backward pass needs: ``cache["pre"]`` lists the inputs of the activation
+    sites in site order, and ``cache["xs"][k]`` is the input of stage ``k``
+    (the image for the first stage; the last entry is the encoder output).
     """
     cfg = model.config
     if images.ndim != 4 or images.shape[1] != 3:
@@ -184,72 +206,46 @@ def forward(model: Model, images: np.ndarray):
         raise ValueError(
             f"input spatial size {images.shape[2:]} != config input_size {cfg.input_size}"
         )
-    specs = dict(model._layers)
-    p = model.params
-    pre: list[np.ndarray] = []  # activation-site inputs, in site order
-
-    def conv(name, x):
-        return ops.conv2d(x, p[f"{name}.w"], p[f"{name}.b"], specs[name])
-
-    def site(z):
-        pre.append(z)
-        return act_forward(z, model.acts[len(pre) - 1])
-
-    a0 = site(conv("stem", images))
-    a1 = site(conv("down1", a0))
-    a2 = site(conv("down2", a1))
-    cat = np.concatenate(
-        [site(conv(f"aspp{i}", a2)) for i in range(len(cfg.aspp_dilations))], axis=1
-    )
-    af = site(conv("fuse", cat))
-    up = ops.upsample_bilinear(af, 4)
-    logits = conv("head", up)
-    probs = ops.softmax_channel(logits)
-
-    cache = {"x": images, "pre": pre, "a0": a0, "a1": a1, "a2": a2, "cat": cat,
-             "af": af, "up": up, "probs": probs}
-    return probs, cache
+    xs = [images]
+    pre: list[np.ndarray] = []
+    for stage in model._stages:
+        outs = []
+        for layer in stage:
+            pre.append(_conv(model, layer, xs[-1]))
+            outs.append(act_forward(pre[-1], model.acts[len(pre) - 1]))
+        xs.append(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))
+    up = ops.upsample_bilinear(xs[-1], _UPSAMPLE)
+    probs = ops.softmax_channel(_conv(model, model._head, up))
+    return probs, {"xs": xs, "pre": pre, "up": up, "probs": probs}
 
 
 def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndarray]:
     """GradMap for every conv weight/bias and activation parameter array."""
-    cfg = model.config
-    specs = dict(model._layers)
-    p = model.params
     grads: dict[str, np.ndarray] = {}
 
-    def conv_back(name, g, x):
-        dx, dw, db = ops.conv2d_backward(g, x, p[f"{name}.w"], specs[name])
-        grads[f"{name}.w"] = dw
-        grads[f"{name}.b"] = db
+    def conv_back(layer, g, x):
+        name, spec = layer
+        dx, grads[f"{name}.w"], grads[f"{name}.b"] = ops.conv2d_backward(
+            g, x, model.params[f"{name}.w"], spec)
         return dx
 
-    def act_back(site, g):
-        dz, dpar = act_backward(cache["pre"][site], model.acts[site], g)
-        if dpar.size:
-            grads[f"act{site}.params"] = dpar
-        return dz
-
-    n_branch = len(cfg.aspp_dilations)
+    xs, pre = cache["xs"], cache["pre"]
     dlogits = ops.softmax_channel_backward(dprobs, cache["probs"])
-    dup = conv_back("head", dlogits, cache["up"])
-    af = cache["af"]
-    daf = ops.upsample_bilinear_backward(dup, af.shape[2], af.shape[3], 4)
-    dzf = act_back(3 + n_branch, daf)
-    dcat = conv_back("fuse", dzf, cache["cat"])
-
-    da2 = np.zeros_like(cache["a2"])
-    w = cfg.aspp_width
-    for i in range(n_branch):
-        dzb = act_back(3 + i, dcat[:, i * w : (i + 1) * w])
-        da2 += conv_back(f"aspp{i}", dzb, cache["a2"])
-
-    dz2 = act_back(2, da2)
-    da1 = conv_back("down2", dz2, cache["a1"])
-    dz1 = act_back(1, da1)
-    da0 = conv_back("down1", dz1, cache["a0"])
-    dz0 = act_back(0, da0)
-    conv_back("stem", dz0, cache["x"])
+    dup = conv_back(model._head, dlogits, cache["up"])
+    g = ops.upsample_bilinear_backward(dup, xs[-1].shape[2], xs[-1].shape[3], _UPSAMPLE)
+    site = len(pre)
+    for stage, x in zip(reversed(model._stages), reversed(xs[:-1])):
+        site -= len(stage)
+        dx, at = None, 0
+        for i, layer in enumerate(stage, start=site):
+            width = layer[1].out_channels
+            dz, dpar = act_backward(pre[i], model.acts[i], g[:, at : at + width])
+            at += width
+            if dpar.size:
+                grads[f"act{i}.params"] = dpar
+            dxi = conv_back(layer, dz, x)
+            dx = dxi if dx is None else dx + dxi
+        g = dx
     return grads
 
 
@@ -270,15 +266,7 @@ def save_model(path, model: Model) -> None:
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "config": {
-            "input_size": model.config.input_size,
-            "stem_width": model.config.stem_width,
-            "down_width": model.config.down_width,
-            "aspp_width": model.config.aspp_width,
-            "fuse_width": model.config.fuse_width,
-            "aspp_dilations": list(model.config.aspp_dilations),
-            "num_classes": model.config.num_classes,
-        },
+        "config": dataclasses.asdict(model.config),
         "assignment": [k.value for k in model.assignment],
         "init_seed": model.init_seed,
         "dtype": str(np.dtype(model.dtype)),
@@ -302,40 +290,43 @@ def _expected_arrays(config: NetworkConfig, assignment) -> dict[str, tuple[int, 
 
 
 def load_model(path) -> Model:
-    """Read a checkpoint, rejecting any missing, extra or mis-shaped array
-    with a ``ValueError`` that names the file and the key."""
-    with np.load(path, allow_pickle=False) as data:
-        if "__meta__" not in data.files:
-            raise ValueError(f"{path}: not a model checkpoint (no __meta__ key)")
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{path}: not a model checkpoint")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-        try:
-            cfg_d = dict(meta["config"])
-            cfg_d["aspp_dilations"] = tuple(cfg_d["aspp_dilations"])
-            config = NetworkConfig(**cfg_d)
-            assignment = tuple(ActivationKind(v) for v in meta["assignment"])
-            dtype = np.dtype(meta["dtype"])
-            init_seed = int(meta["init_seed"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
-        if len(assignment) != config.site_count:
-            raise ValueError(f"{path}: assignment has {len(assignment)} sites, "
-                             f"config has {config.site_count}")
-        expected = _expected_arrays(config, assignment)
-        missing = sorted(set(expected) - set(data.files))
-        unexpected = sorted(set(data.files) - set(expected) - {"__meta__"})
-        if missing or unexpected:
-            raise ValueError(f"{path}: missing arrays {missing}, unexpected arrays {unexpected}")
-        arrays = {}
-        for key, shape in expected.items():
-            arr = data[key]
-            if arr.shape != shape or arr.dtype != dtype:
-                raise ValueError(f"{path}: array {key!r} is {arr.dtype}{arr.shape}, "
-                                 f"expected {dtype}{shape}")
-            arrays[key] = arr
+    """Read a checkpoint, rejecting an unreadable file or any missing, extra
+    or mis-shaped array with a ``ValueError`` that names the file and the key."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            if "__meta__" not in data.files:
+                raise ValueError(f"{path}: not a model checkpoint (no __meta__ key)")
+            meta = json.loads(str(data["__meta__"]))
+            if meta.get("format") != CHECKPOINT_FORMAT:
+                raise ValueError(f"{path}: not a model checkpoint")
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+            try:
+                cfg_d = dict(meta["config"])
+                cfg_d["aspp_dilations"] = tuple(cfg_d["aspp_dilations"])
+                config = NetworkConfig(**cfg_d)
+                assignment = tuple(ActivationKind(v) for v in meta["assignment"])
+                dtype = np.dtype(meta["dtype"])
+                init_seed = int(meta["init_seed"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
+            if len(assignment) != config.site_count:
+                raise ValueError(f"{path}: assignment has {len(assignment)} sites, "
+                                 f"config has {config.site_count}")
+            expected = _expected_arrays(config, assignment)
+            missing = sorted(set(expected) - set(data.files))
+            unexpected = sorted(set(data.files) - set(expected) - {"__meta__"})
+            if missing or unexpected:
+                raise ValueError(f"{path}: missing arrays {missing}, unexpected arrays {unexpected}")
+            arrays = {}
+            for key, shape in expected.items():
+                arr = data[key]
+                if arr.shape != shape or arr.dtype != dtype:
+                    raise ValueError(f"{path}: array {key!r} is {arr.dtype}{arr.shape}, "
+                                     f"expected {dtype}{shape}")
+                arrays[key] = arr
+    except (EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable checkpoint file: {exc!r}") from exc
     params = {k[len("param:"):]: v for k, v in arrays.items() if k.startswith("param:")}
     acts = [ActivationState(kind=kind, channels=ch, params=arrays[f"act:{i}"])
             for i, (kind, ch) in enumerate(zip(assignment, config.site_channels()))]

@@ -1,3 +1,7 @@
+import json
+import shutil
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -179,8 +183,6 @@ class TestCheckpointDir:
         assert ensemble.ensemble_evaluate(back, test) == ensemble.ensemble_evaluate(ens, test)
 
     def test_manifest_contents(self, tiny_data, tmp_path):
-        import json
-
         train, _ = tiny_data
         spec = tiny_spec(mode="relu", size=2)
         ens = ensemble.train_ensemble(spec, train)
@@ -190,3 +192,49 @@ class TestCheckpointDir:
         assert manifest["size"] == 2
         assert manifest["member_seeds"] == ens.member_seeds
         assert manifest["pool"][0] == "relu"
+
+
+@pytest.fixture(scope="module")
+def saved_relu(tiny_data, tmp_path_factory):
+    """A saved 2-member relu ensemble and the spec it was trained with."""
+    train, _ = tiny_data
+    spec = tiny_spec(mode="relu", size=2, epochs=1)
+    directory = tmp_path_factory.mktemp("relu_ens")
+    ensemble.save_ensemble(directory, ensemble.train_ensemble(spec, train))
+    return directory, spec
+
+
+class TestLoadEnsembleMismatch:
+    @pytest.mark.parametrize("key, change", [
+        ("mode", {"mode": "sto"}),
+        ("size", {"size": 3}),
+        ("master_seed", {"master_seed": 6}),
+        ("pool", {"pool_size": 13}),
+    ])
+    def test_manifest_key(self, saved_relu, key, change):
+        directory, spec = saved_relu
+        with pytest.raises(ValueError, match=f"{ensemble.MANIFEST_NAME}: {key} is") as err:
+            ensemble.load_ensemble(directory, replace(spec, **change))
+        assert str(directory / ensemble.MANIFEST_NAME) in str(err.value)
+
+    def test_member_seed_count(self, saved_relu, tmp_path):
+        directory, spec = saved_relu
+        shutil.copytree(directory, tmp_path / "ens")
+        path = tmp_path / "ens" / ensemble.MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["member_seeds"].pop()
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="member_seeds has 1 entries") as err:
+            ensemble.load_ensemble(tmp_path / "ens", spec)
+        assert str(path) in str(err.value)
+
+    def test_member_network_config(self, saved_relu):
+        directory, spec = saved_relu
+        wrong = replace(spec, network=replace(spec.network, input_size=64))
+        with pytest.raises(ValueError, match="config input_size is 16, spec has 64") as err:
+            ensemble.load_ensemble(directory, wrong)
+        assert str(directory / "member_000.npz") in str(err.value)
+
+    def test_matching_spec_loads(self, saved_relu):
+        directory, spec = saved_relu
+        assert ensemble.load_ensemble(directory, spec).spec == spec

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stoseg import cli, network
+from stoseg import cli, losses, network, suite
 from stoseg.activations import ActivationKind, act_forward, default_pool
 from stoseg.rng import SplitMix64
 
@@ -168,7 +168,46 @@ class TestGradMap:
         img = SplitMix64(2).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16).astype(np.float32)
         _, cache = network.forward(m, img)
         assert [z.shape[1] for z in cache["pre"]] == list(cfg.site_channels())
-        np.testing.assert_array_equal(act_forward(cache["pre"][0], m.acts[0]), cache["a0"])
+        # site 0 is the whole first stage, so its output is the next stage's input
+        np.testing.assert_array_equal(act_forward(cache["pre"][0], m.acts[0]), cache["xs"][1])
+
+    @pytest.mark.parametrize("dilations", [(2,), (1, 3)])
+    def test_backward_matches_central_difference(self, dilations):
+        """Directional derivative of the dice loss along a random direction in
+        every parameter, float64, on one- and two-branch pyramids."""
+        cfg = network.NetworkConfig(input_size=8, stem_width=3, down_width=4, aspp_width=3,
+                                    fuse_width=4, aspp_dilations=dilations)
+        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 17)
+        m = network.build_model(cfg, asn, 17, dtype=np.float64)
+        rng = SplitMix64(18)
+        for name, b in m.params.items():
+            if name.endswith(".b"):
+                b += (rng.uniform_array(b.size) - 0.5) * 0.1
+        for st in m.acts:
+            suite._noise_params(st, rng)
+        img = rng.uniform_array(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
+        fg = rng.uniform_array(2 * 8 * 8).reshape(2, 8, 8) < 0.4
+        target = np.stack([1.0 - fg, fg * 1.0], axis=1)
+
+        probs, cache = network.forward(m, img)
+        # steps of h = 1e-6 move pre-activations by ~1e-5, so no kink is crossed
+        assert suite._min_kink_distance(m, cache) > 1e-4
+        _, dprobs = losses.dice_loss(probs, target)
+        grads = network.backward(m, cache, dprobs)
+        params = m.parameters()
+        base = {k: v.copy() for k, v in params.items()}
+        direction = {k: rng.normal_array(v.shape) for k, v in params.items()}
+        analytic = sum(float(np.vdot(grads[k], direction[k])) for k in params)
+
+        def loss_at(t):
+            for k, v in params.items():
+                v[...] = base[k] + t * direction[k]
+            return losses.dice_loss(network.forward(m, img)[0], target)[0]
+
+        h = 1e-6
+        numeric = (loss_at(h) - loss_at(-h)) / (2 * h)
+        assert abs(analytic) > 1e-3
+        assert abs(numeric - analytic) <= 1e-7 * abs(analytic)
 
 
 class TestCheckpoint:
@@ -247,6 +286,10 @@ def tampered_checkpoint(tmp_path, name):
     return bad, key
 
 
+# name -> bytes of a file that is not a readable .npz archive
+UNREADABLE = {"zip_garbage": b"PK\x03\x04garbage", "empty": b""}
+
+
 class TestCheckpointValidation:
     @pytest.mark.parametrize("name", sorted(TAMPERS))
     def test_rejected_naming_file_and_key(self, tmp_path, name):
@@ -254,6 +297,32 @@ class TestCheckpointValidation:
         with pytest.raises(ValueError, match=re.escape(key)) as err:
             network.load_model(bad)
         assert str(bad) in str(err.value)
+
+    @pytest.mark.parametrize("name", sorted(UNREADABLE))
+    def test_unreadable_file_rejected_naming_file(self, tmp_path, name):
+        bad = tmp_path / f"{name}.npz"
+        bad.write_bytes(UNREADABLE[name])
+        with pytest.raises(ValueError, match="unreadable") as err:
+            network.load_model(bad)
+        assert str(bad) in str(err.value)
+
+    def test_corrupt_array_rejected_naming_file(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "flipped.npz"
+        network.save_model(path, network.build_model(cfg, relu_assignment(cfg), 1))
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF  # inside an array's payload: its CRC no longer matches
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="CRC") as err:
+            network.load_model(path)
+        assert str(path) in str(err.value)
+
+    def test_cli_reports_unreadable_checkpoint(self, tmp_path, capsys):
+        bad = tmp_path / "zip_garbage.npz"
+        bad.write_bytes(UNREADABLE["zip_garbage"])
+        code = cli.main(["eval", "--out", str(tmp_path / "out"), "--checkpoint", str(bad)])
+        assert code == 1
+        assert str(bad) in capsys.readouterr().err
 
     def test_cli_reports_bad_checkpoint(self, tmp_path, capsys):
         bad, key = tampered_checkpoint(tmp_path, "missing_act")
