@@ -136,12 +136,8 @@ def _bc(state: ActivationState, row: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))  # never overflows: 1/(1+e) for z >= 0, e/(1+e) below
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -172,18 +168,14 @@ def _bwd_leaky(x, st, up):
     return up * np.where(x >= 0, 1.0, LEAKY_SLOPE).astype(x.dtype), None
 
 
+# np.where evaluates both branches, so elu's and pdelu's negative branch reads
+# np.minimum(x, 0.0): the discarded large-x values can never overflow.
 def _fwd_elu(x, st):
-    out = x.copy()
-    neg = x < 0
-    out[neg] = np.expm1(x[neg])
-    return out
+    return np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
 
 
 def _bwd_elu(x, st, up):
-    d = np.ones_like(x)
-    neg = x < 0
-    d[neg] = np.exp(x[neg])
-    return up * d, None
+    return up * np.where(x < 0, np.exp(np.minimum(x, 0.0)), 1.0), None
 
 
 def _fwd_prelu(x, st):
@@ -213,23 +205,20 @@ def _bwd_srelu(x, st, up):
     return up * slope, np.stack([dtl, dal, dtr, dar])
 
 
+def _pdelu_base(x):
+    """The clamped base of the negative branch; 1 for x >= 0."""
+    return np.maximum(1.0 + PDELU_SLOPE * np.minimum(x, 0.0), 0.0)
+
+
 def _fwd_pdelu(x, st):
-    alpha = np.broadcast_to(_bc(st, 0), x.shape)
-    neg = x < 0
-    base = np.maximum(1.0 + PDELU_SLOPE * x[neg], 0.0)
-    out = x.copy()
-    out[neg] = alpha[neg] * (base**PDELU_POWER - 1.0)
-    return out
+    return np.where(x < 0, _bc(st, 0) * (_pdelu_base(x) ** PDELU_POWER - 1.0), x)
 
 
 def _bwd_pdelu(x, st, up):
-    alpha = np.broadcast_to(_bc(st, 0), x.shape)
-    neg = x < 0
-    base = np.maximum(1.0 + PDELU_SLOPE * x, 0.0)
-    d = np.ones_like(x)
-    d[neg] = (alpha * base ** (PDELU_POWER - 1.0))[neg]
+    alpha, neg, base = _bc(st, 0), x < 0, _pdelu_base(x)
+    dx = up * np.where(neg, alpha * base ** (PDELU_POWER - 1.0), 1.0)
     dalpha = _sum_cnhw(up * (base**PDELU_POWER - 1.0) * neg)
-    return up * d, dalpha[None, :]
+    return dx, dalpha[None, :]
 
 
 def _swish_parts(x, beta):

@@ -27,6 +27,7 @@ from .network import (
 from .rng import SplitMix64, derive_seed
 
 MANIFEST_NAME = "manifest.json"
+MANIFEST_VERSION = 1
 _INIT_TAG = 0x1217
 DEFAULT_POOL_SIZE = 14
 
@@ -194,7 +195,7 @@ def save_ensemble(directory, ens: Ensemble) -> None:
         save_model(_member_path(directory, i), m)
     manifest = {
         "format": "stoseg-ensemble",
-        "version": 1,
+        "version": MANIFEST_VERSION,
         **_spec_record(ens.spec),
         "member_seeds": ens.member_seeds,
     }
@@ -205,21 +206,30 @@ def load_ensemble(directory, spec: EnsembleSpec) -> Ensemble:
     """Reload members saved by save_ensemble.
 
     ``spec`` supplies the train config the manifest does not store. The
-    manifest's mode, size, master seed, pool and seed count, and every
-    member's network config, must match ``spec``; a mismatch raises a
-    ``ValueError`` naming the manifest or member file and the key.
+    manifest must be version-1 JSON, and its mode, size, master seed, pool
+    and member seeds, and every member's network config, must match
+    ``spec``; anything else raises a ``ValueError`` naming the manifest or
+    member file and the key.
     """
     directory = Path(directory)
     path = directory / MANIFEST_NAME
-    manifest = json.loads(path.read_text())
-    if manifest.get("format") != "stoseg-ensemble":
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise ValueError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict) or manifest.get("format") != "stoseg-ensemble":
         raise ValueError(f"{path}: not an ensemble checkpoint")
+    if manifest.get("version") != MANIFEST_VERSION:
+        raise ValueError(f"{path}: unsupported manifest version {manifest.get('version')!r}")
     for key, want in _spec_record(spec).items():
         if manifest.get(key) != want:
             raise ValueError(f"{path}: {key} is {manifest.get(key)!r}, spec has {want!r}")
     seeds = manifest.get("member_seeds", [])
     if len(seeds) != spec.size:
         raise ValueError(f"{path}: member_seeds has {len(seeds)} entries, spec size is {spec.size}")
+    want_seeds = member_seeds(spec.master_seed, spec.size)
+    if seeds != want_seeds:
+        raise ValueError(f"{path}: member_seeds are {seeds}, spec master_seed gives {want_seeds}")
     members = []
     for i in range(spec.size):
         member = _member_path(directory, i)

@@ -9,7 +9,6 @@ import numpy as np
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_STEP = 1e-3
-DEFAULT_TOL = 1e-4
 
 
 class GradcheckError(RuntimeError):

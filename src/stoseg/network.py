@@ -293,7 +293,13 @@ def load_model(path) -> Model:
     """Read a checkpoint, rejecting an unreadable file or any missing, extra
     or mis-shaped array with a ``ValueError`` that names the file and the key."""
     try:
-        with np.load(path, allow_pickle=False) as data:
+        data = np.load(path, allow_pickle=False)
+    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: unreadable checkpoint file: {exc!r}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: unreadable checkpoint file: a .npy array, not an .npz archive")
+    try:
+        with data:
             if "__meta__" not in data.files:
                 raise ValueError(f"{path}: not a model checkpoint (no __meta__ key)")
             meta = json.loads(str(data["__meta__"]))

@@ -177,11 +177,7 @@ def upsample_bilinear(x: np.ndarray, factor: int) -> np.ndarray:
         raise ValueError(f"input must be 4-D, got ndim {x.ndim}")
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError(f"factor must be a positive integer, got {factor!r}")
-    if factor == 1:
-        return x.copy()
-    h, w = x.shape[2], x.shape[3]
-    y = _lerp_axis(x, 2, *_axis_map(h, h * factor))
-    return _lerp_axis(y, 3, *_axis_map(w, w * factor))
+    return bilinear_resize(x, x.shape[2] * factor, x.shape[3] * factor)
 
 
 def upsample_bilinear_backward(grad: np.ndarray, in_h: int, in_w: int, factor: int) -> np.ndarray:

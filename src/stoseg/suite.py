@@ -1,16 +1,25 @@
 """Gradient verification suite: every differentiable piece against central
 differences, plus the end-to-end reduced network. Used by the CLI
-``gradcheck`` subcommand and by the acceptance tests."""
+``gradcheck`` subcommand and by the acceptance tests.
+
+Every check has one shape: it draws float64 inputs from its seed, wraps the
+piece as ``fn(*inputs) -> (y, vjp)`` and returns ``gradcheck``'s largest
+relative error. ``run_suite`` is one loop over a table of ``(name, check,
+tolerance, seed count)`` rows. The table is built on each call, not at
+import, so it reads the module's functions when the suite runs: a tracer
+that swaps them for timing wrappers (``perfbench/run.py --trace 1``) would
+otherwise be bypassed by a table holding the originals.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import network, ops
 from .activations import (
-    PARAM_COUNTS,
     ActivationKind,
     act_backward,
     act_forward,
@@ -22,9 +31,7 @@ from .gradcheck import DEFAULT_STEP, gradcheck
 from .losses import dice_loss, weighted_ce
 from .rng import SplitMix64, derive_seed
 
-ACT_TOL = 1e-4
-LOSS_TOL = 1e-4
-OP_TOL = 1e-4
+TOL = 1e-4  # activations, ops and losses
 E2E_TOL = 1e-3
 E2E_STEP = 1e-5  # smaller step keeps kink crossings out of the stencil
 
@@ -72,27 +79,22 @@ def _noise_params(state, rng: SplitMix64) -> None:
     p += noise.astype(p.dtype)
 
 
-def check_activation(kind: ActivationKind, seed: int, h: float = DEFAULT_STEP) -> float:
+def check_activation(kind: ActivationKind, seed: int) -> float:
+    """Input and parameter gradients of one kind at noised parameters. A
+    parameter-free kind's (0, channels) parameter array adds no scalars."""
     channels = 2
     state = act_init(kind, channels, dtype=np.float64)
     rng = SplitMix64(derive_seed(seed, default_pool().index(kind)))
     _noise_params(state, rng)
-    x = sample_away_from_kinks(rng, (2, channels, 3, 3), kink_points(state), 10.0 * h)
+    x = sample_away_from_kinks(rng, (2, channels, 3, 3), kink_points(state), 10.0 * DEFAULT_STEP)
 
-    if PARAM_COUNTS[kind]:
-        def fn(xv, pv):
-            st = replace(state, params=pv)
-            y = act_forward(xv, st)
-            return y, lambda u: act_backward(xv, st, u)
-        return gradcheck(fn, [x, state.params.copy()], h=h, cotangent_seed=seed)
-
-    def fn(xv):
-        y = act_forward(xv, state)
-        return y, lambda u: [act_backward(xv, state, u)[0]]
-    return gradcheck(fn, [x], h=h, cotangent_seed=seed)
+    def fn(xv, pv):
+        st = replace(state, params=pv)
+        return act_forward(xv, st), lambda u: act_backward(xv, st, u)
+    return gradcheck(fn, [x, state.params.copy()], cotangent_seed=seed)
 
 
-def check_conv(seed: int, h: float = DEFAULT_STEP) -> float:
+def check_conv(seed: int) -> float:
     rng = SplitMix64(derive_seed(seed, 0xC0))
     variants = [
         ops.ConvSpec(2, 2, 3, 3, stride=1, padding=1, dilation=1),
@@ -106,15 +108,11 @@ def check_conv(seed: int, h: float = DEFAULT_STEP) -> float:
     b = rng.normal_array((spec.out_channels,))
 
     def fn(xv, wv, bv):
-        y = ops.conv2d(xv, wv, bv, spec)
-        def vjp(u):
-            dx, dw, db = ops.conv2d_backward(u, xv, wv, spec)
-            return dx, dw, db
-        return y, vjp
-    return gradcheck(fn, [x, w, b], h=h, cotangent_seed=seed)
+        return ops.conv2d(xv, wv, bv, spec), lambda u: ops.conv2d_backward(u, xv, wv, spec)
+    return gradcheck(fn, [x, w, b], cotangent_seed=seed)
 
 
-def check_upsample(seed: int, h: float = DEFAULT_STEP) -> float:
+def check_upsample(seed: int) -> float:
     rng = SplitMix64(derive_seed(seed, 0x0B))
     factor = 2 + seed % 3
     x = rng.normal_array((1, 2, 3, 4))
@@ -122,43 +120,39 @@ def check_upsample(seed: int, h: float = DEFAULT_STEP) -> float:
     def fn(xv):
         y = ops.upsample_bilinear(xv, factor)
         return y, lambda u: [ops.upsample_bilinear_backward(u, 3, 4, factor)]
-    return gradcheck(fn, [x], h=h, cotangent_seed=seed)
+    return gradcheck(fn, [x], cotangent_seed=seed)
 
 
-def check_softmax(seed: int, h: float = DEFAULT_STEP) -> float:
+def check_softmax(seed: int) -> float:
     rng = SplitMix64(derive_seed(seed, 0x50))
     x = rng.normal_array((2, 3, 3, 3))
 
     def fn(xv):
         y = ops.softmax_channel(xv)
         return y, lambda u: [ops.softmax_channel_backward(u, y)]
-    return gradcheck(fn, [x], h=h, cotangent_seed=seed)
+    return gradcheck(fn, [x], cotangent_seed=seed)
 
 
-def _random_probs_target(seed: int, shape=(2, 4, 4)):
+def _check_loss(loss_fn, seed: int) -> float:
+    """Gradient of ``loss_fn(probs, target) -> (loss, dprobs)`` with respect to
+    probabilities in [0.1, 0.9] against a random two-class 4x4 target."""
     rng = SplitMix64(derive_seed(seed, 0x10))
-    probs = 0.1 + 0.8 * rng.uniform_array(int(np.prod(shape))).reshape(shape)
-    fg = (rng.uniform_array(shape[1] * shape[2]).reshape(shape[1:]) < 0.4)
+    probs = 0.1 + 0.8 * rng.uniform_array(2 * 4 * 4).reshape(2, 4, 4)
+    fg = rng.uniform_array(4 * 4).reshape(4, 4) < 0.4
     target = np.stack([1.0 - fg, fg * 1.0])
-    return probs, target
-
-
-def check_dice(seed: int, h: float = DEFAULT_STEP) -> float:
-    probs, target = _random_probs_target(seed)
 
     def fn(pv):
-        loss, grad = dice_loss(pv, target)
+        loss, grad = loss_fn(pv, target)
         return np.float64(loss), lambda u: [u * grad]
-    return gradcheck(fn, [probs], h=h, cotangent_seed=seed)
+    return gradcheck(fn, [probs], cotangent_seed=seed)
 
 
-def check_weighted_ce(seed: int, h: float = DEFAULT_STEP) -> float:
-    probs, target = _random_probs_target(seed)
+def check_dice(seed: int) -> float:
+    return _check_loss(dice_loss, seed)
 
-    def fn(pv):
-        loss, grad = weighted_ce(pv, target, (0.5, 2.0))
-        return np.float64(loss), lambda u: [u * grad]
-    return gradcheck(fn, [probs], h=h, cotangent_seed=seed)
+
+def check_weighted_ce(seed: int) -> float:
+    return _check_loss(lambda p, t: weighted_ce(p, t, (0.5, 2.0)), seed)
 
 
 def _flatten(params: dict[str, np.ndarray]):
@@ -184,7 +178,7 @@ def _min_kink_distance(model, cache) -> float:
     return dmin
 
 
-def check_network(seed: int, h: float = E2E_STEP) -> float:
+def check_network(seed: int) -> float:
     """Dice-loss gradient of every weight, bias, and activation parameter of
     the reduced network against central differences.
 
@@ -203,7 +197,7 @@ def check_network(seed: int, h: float = E2E_STEP) -> float:
     fg = rng.uniform_array(cfg.input_size**2).reshape(cfg.input_size, cfg.input_size) < 0.35
     target = np.stack([1.0 - fg, fg * 1.0])[None]
 
-    margin = 100.0 * h
+    margin = 100.0 * E2E_STEP
     for attempt in range(50):
         model = network.build_model(
             cfg, assignment, derive_seed(seed, 0x111, attempt), dtype=np.float64
@@ -237,33 +231,23 @@ def check_network(seed: int, h: float = E2E_STEP) -> float:
         return np.float64(loss), vjp
 
     try:
-        return gradcheck(fn, [vec0.copy()], h=h, cotangent_seed=seed)
+        return gradcheck(fn, [vec0.copy()], h=E2E_STEP, cotangent_seed=seed)
     finally:
         _unflatten_into(params, keys, vec0)
 
 
 def run_suite(seeds: int = 20, e2e_seeds: int = 20) -> list[CheckResult]:
-    """The full suite; one result row per named check."""
-    results: list[CheckResult] = []
-    for kind in default_pool():
-        err = max(check_activation(kind, s) for s in range(seeds))
-        results.append(CheckResult(f"activation/{kind.value}", err, ACT_TOL))
-    results.append(CheckResult("op/conv2d", max(check_conv(s) for s in range(seeds)), OP_TOL))
-    results.append(
-        CheckResult("op/upsample_bilinear", max(check_upsample(s) for s in range(seeds)), OP_TOL)
-    )
-    results.append(
-        CheckResult("op/softmax_channel", max(check_softmax(s) for s in range(seeds)), OP_TOL)
-    )
-    results.append(CheckResult("loss/dice", max(check_dice(s) for s in range(seeds)), LOSS_TOL))
-    results.append(
-        CheckResult("loss/weighted_ce", max(check_weighted_ce(s) for s in range(seeds)), LOSS_TOL)
-    )
-    results.append(
-        CheckResult(
-            "network/end_to_end",
-            max(check_network(s) for s in range(e2e_seeds)),
-            E2E_TOL,
-        )
-    )
-    return results
+    """The full suite: one result row per named check, holding the largest
+    error over the row's seeds."""
+    rows = [(f"activation/{kind.value}", partial(check_activation, kind), TOL, seeds)
+            for kind in default_pool()]
+    rows += [
+        ("op/conv2d", check_conv, TOL, seeds),
+        ("op/upsample_bilinear", check_upsample, TOL, seeds),
+        ("op/softmax_channel", check_softmax, TOL, seeds),
+        ("loss/dice", check_dice, TOL, seeds),
+        ("loss/weighted_ce", check_weighted_ce, TOL, seeds),
+        ("network/end_to_end", check_network, E2E_TOL, e2e_seeds),
+    ]
+    return [CheckResult(name, max(check(s) for s in range(n)), tol)
+            for name, check, tol, n in rows]

@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from stoseg import cli, ensemble
 from stoseg.metrics import CSV_COLUMNS
 
@@ -53,3 +57,55 @@ def test_subcommands_end_to_end(tmp_path):
     report = ensemble.ensemble_evaluate(ens, list(test_ds))
     row = (tmp_path / "ensemble" / "results.csv").read_text().splitlines()[1]
     assert row == f"{cfg['name']}_sto," + ",".join(f"{v:.6f}" for v in report.csv_values())
+
+
+def write_config(tmp_path, *lines):
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestParseConfig:
+    def test_no_file_gives_defaults(self):
+        assert cli.parse_config(None) == cli.DEFAULTS
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = write_config(tmp_path, "# header", "", "   ", "seed = 7  # trailing", "name=run#2")
+        assert cli.parse_config(path) == {**cli.DEFAULTS, "seed": "7", "name": "run"}
+
+    def test_unknown_key_names_file_and_line(self, tmp_path):
+        path = write_config(tmp_path, "seed=1", "", "net.widht=4")
+        with pytest.raises(cli.ConfigError, match=re.escape(f"{path}:3: unknown config key")):
+            cli.parse_config(path)
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path):
+        path = write_config(tmp_path, "# header", "seed 1")
+        with pytest.raises(cli.ConfigError, match=re.escape(f"{path}:2: expected key=value")):
+            cli.parse_config(path)
+
+
+class TestTypedGetters:
+    @pytest.mark.parametrize("key, value, getter", [
+        ("net.dilations", "1,two", cli.network_config),
+        ("net.input_size", "sixty", cli.network_config),
+        ("train.augment", "maybe", lambda cfg: cli.train_config(cfg, 0)),
+        ("data.source", "web", lambda cfg: cli.load_dataset(cfg, 0)),
+    ])
+    def test_bad_value_names_key(self, key, value, getter):
+        with pytest.raises(cli.ConfigError, match=re.escape(key)):
+            getter({**cli.DEFAULTS, key: value})
+
+
+class TestMainErrors:
+    def test_unknown_key_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, "net.widht=4")
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}:1" in err
+
+    def test_bad_activation_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, "data.synth_count=4", "data.synth_size=16", "split.train=2",
+                            "split.test=2", "net.input_size=16", "model.activation=tanh")
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model.activation must be")

@@ -204,6 +204,21 @@ def saved_relu(tiny_data, tmp_path_factory):
     return directory, spec
 
 
+def edited_manifest(saved, tmp_path, edit):
+    """Copy the saved ensemble and replace its manifest text by ``edit(text)``;
+    returns the copy's manifest path."""
+    directory, _ = saved
+    shutil.copytree(directory, tmp_path / "ens")
+    path = tmp_path / "ens" / ensemble.MANIFEST_NAME
+    path.write_text(edit(path.read_text()))
+    return path
+
+
+def reversed_seeds(text):
+    manifest = json.loads(text)
+    return json.dumps({**manifest, "member_seeds": manifest["member_seeds"][::-1]})
+
+
 class TestLoadEnsembleMismatch:
     @pytest.mark.parametrize("key, change", [
         ("mode", {"mode": "sto"}),
@@ -226,6 +241,18 @@ class TestLoadEnsembleMismatch:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="member_seeds has 1 entries") as err:
             ensemble.load_ensemble(tmp_path / "ens", spec)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda text: text[: len(text) // 2], "unreadable manifest", id="not_json"),
+        pytest.param(lambda text: text.replace('"version": 1', '"version": 99'),
+                     "unsupported manifest version 99", id="version_99"),
+        pytest.param(reversed_seeds, "member_seeds are", id="seed_values"),
+    ])
+    def test_edited_manifest(self, saved_relu, tmp_path, edit, message):
+        path = edited_manifest(saved_relu, tmp_path, edit)
+        with pytest.raises(ValueError, match=message) as err:
+            ensemble.load_ensemble(path.parent, saved_relu[1])
         assert str(path) in str(err.value)
 
     def test_member_network_config(self, saved_relu):

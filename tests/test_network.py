@@ -1,3 +1,4 @@
+import io
 import json
 import re
 
@@ -286,8 +287,16 @@ def tampered_checkpoint(tmp_path, name):
     return bad, key
 
 
+def npy_bytes():
+    """The bytes np.save writes: a bare .npy array, which np.load returns as is."""
+    buf = io.BytesIO()
+    np.save(buf, np.zeros(3))
+    return buf.getvalue()
+
+
 # name -> bytes of a file that is not a readable .npz archive
-UNREADABLE = {"zip_garbage": b"PK\x03\x04garbage", "empty": b""}
+UNREADABLE = {"zip_garbage": b"PK\x03\x04garbage", "empty": b"",
+              "text": b"not a checkpoint\n", "npy": npy_bytes()}
 
 
 class TestCheckpointValidation:
