@@ -42,8 +42,9 @@ knots, so between consecutive knots each is affine in x with a slope and
 intercept that are linear in the channel's parameters. At import each of
 these kinds gets a knot vector and two fixed maps from its parameters to
 per-segment slopes and intercepts, built from the definitions above. The
-forward pass finds each input's segment as ``searchsorted(knots, x,
-side="right")``, so a point on a knot takes the piece to its right (the
+forward pass finds each input's segment as the count of knots at or below
+x (the same index as ``searchsorted(knots, x, side="right")``, but faster
+for so few knots), so a point on a knot takes the piece to its right (the
 right-derivative convention), and applies that segment's affine piece; the
 parameter gradient is the transposed maps applied to per-(channel, segment)
 sums of ``upstream * x`` and ``upstream``. One code path serves all five.
@@ -260,7 +261,8 @@ def _bwd_srs(x, st, up):
     e = np.exp(np.minimum(z, _EXP_CLAMP))
     live = (~clamped).astype(x.dtype)
     denom = x / alpha + e
-    inv2 = 1.0 / (denom * denom)
+    r = 1.0 / denom
+    inv2 = r * r  # underflows to 0 where denom * denom would overflow
     d_denom_dx = 1.0 / alpha - (e / beta) * live
     dx = up * (denom - x * d_denom_dx) * inv2
     dalpha = _sum_cnhw(up * (x * x) * inv2 / (alpha * alpha))

@@ -12,10 +12,14 @@ its branches' activations concatenated on channels. The stages are:
     pyramid   one branch per dilation d: 3x3 conv, pad d, down_width -> aspp_width
     fuse      1x1 conv, branches * aspp_width -> fuse_width
 
-The decoder follows the table: bilinear upsample x4, a 1x1 ``head`` conv to
-num_classes, and a channel softmax. The forward and backward passes, the
-site count and channels, parameter init and checkpoint validation all walk
-the table.
+The decoder follows the table in DeepLab order: a 1x1 ``head`` conv to
+num_classes logits, bilinear upsample x4, and a channel softmax. The head
+and the upsample are both linear and every output pixel's interpolation
+weights sum to 1 (bias included), so in real arithmetic this equals
+upsampling the features first; running the head first upsamples
+num_classes channels instead of fuse_width, and runs the head at the
+encoder's resolution. The forward and backward passes, the site count and
+channels, parameter init and checkpoint validation all walk the table.
 
 Gradients are exchanged as a "GradMap": a plain dict from parameter name
 ("stem.w", "act0.params", ...) to an array of the parameter's shape.
@@ -90,7 +94,9 @@ def _stages(cfg: NetworkConfig) -> list[list[Layer]]:
 
 
 def _head(cfg: NetworkConfig) -> Layer:
-    """The decoder's 1x1 conv from the upsampled features to class logits."""
+    """The decoder's 1x1 conv from the encoder output to class logits, applied
+    before the x4 upsample; the two commute, so its weights are the same as
+    those of a head applied after it."""
     return ("head", ops.ConvSpec(cfg.num_classes, cfg.fuse_width, 1, 1))
 
 
@@ -214,27 +220,27 @@ def forward(model: Model, images: np.ndarray):
             pre.append(_conv(model, layer, xs[-1]))
             outs.append(act_forward(pre[-1], model.acts[len(pre) - 1]))
         xs.append(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))
-    up = ops.upsample_bilinear(xs[-1], _UPSAMPLE)
-    probs = ops.softmax_channel(_conv(model, model._head, up))
-    return probs, {"xs": xs, "pre": pre, "up": up, "probs": probs}
+    probs = ops.softmax_channel(ops.upsample_bilinear(_conv(model, model._head, xs[-1]), _UPSAMPLE))
+    return probs, {"xs": xs, "pre": pre, "probs": probs}
 
 
 def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndarray]:
     """GradMap for every conv weight/bias and activation parameter array."""
     grads: dict[str, np.ndarray] = {}
 
-    def conv_back(layer, g, x):
+    def conv_back(layer, g, x, need_dx=True):
         name, spec = layer
         dx, grads[f"{name}.w"], grads[f"{name}.b"] = ops.conv2d_backward(
-            g, x, model.params[f"{name}.w"], spec)
+            g, x, model.params[f"{name}.w"], spec, need_dx=need_dx)
         return dx
 
     xs, pre = cache["xs"], cache["pre"]
     dlogits = ops.softmax_channel_backward(dprobs, cache["probs"])
-    dup = conv_back(model._head, dlogits, cache["up"])
-    g = ops.upsample_bilinear_backward(dup, xs[-1].shape[2], xs[-1].shape[3], _UPSAMPLE)
+    dhead = ops.upsample_bilinear_backward(dlogits, xs[-1].shape[2], xs[-1].shape[3], _UPSAMPLE)
+    g = conv_back(model._head, dhead, xs[-1])
     site = len(pre)
-    for stage, x in zip(reversed(model._stages), reversed(xs[:-1])):
+    for k in reversed(range(len(model._stages))):
+        stage = model._stages[k]
         site -= len(stage)
         dx, at = None, 0
         for i, layer in enumerate(stage, start=site):
@@ -243,7 +249,7 @@ def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndar
             at += width
             if dpar.size:
                 grads[f"act{i}.params"] = dpar
-            dxi = conv_back(layer, dz, x)
+            dxi = conv_back(layer, dz, xs[k], need_dx=k > 0)  # stage 0 reads the image
             dx = dxi if dx is None else dx + dxi
         g = dx
     return grads

@@ -104,12 +104,16 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) 
     return y.reshape(n, spec.out_channels, oh, ow)
 
 
-def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: ConvSpec):
+def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
+                    need_dx: bool = True):
     """Gradients of conv2d: returns (dx, dweight, dbias).
 
     dweight multiplies the upstream gradient by the forward pass's columns
     per image, then sums over the batch in index order. dx scatters the
     columns of W^T @ grad back onto the padded input one tap at a time.
+    With ``need_dx=False`` (a layer whose input needs no gradient, such as
+    the image) dx is returned as None and neither the columns of W^T @ grad
+    nor the scatter are computed; dweight and dbias are unchanged.
     """
     _check_conv_args(x, weight, spec)
     n, _, h, w = x.shape
@@ -124,6 +128,8 @@ def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: C
 
     dbias = grad.sum(axis=(0, 2, 3))
     dweight = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+    if not need_dx:
+        return None, dweight, dbias
 
     wmat = weight.reshape(spec.out_channels, -1)
     dcols = np.matmul(wmat.T, g2)

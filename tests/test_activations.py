@@ -157,12 +157,15 @@ class TestBackward:
         np.testing.assert_array_equal(dp, np.full((1, 2), -48.0))
 
     @pytest.mark.parametrize("kind", ["elu", "pdelu", "swish_fixed", "swish_learnable",
-                                      "mish_fixed", "mish_learnable", "soft_learnable"])
+                                      "mish_fixed", "mish_learnable", "soft_learnable",
+                                      "soft_root_sign"])
     def test_finite_far_outside_data_range(self, kind):
         # pdelu once raised (1 + 0.1x)^10 for positive x too: in float32 it
-        # overflowed from about x = 7.1e4, and inf * 0 made dparams NaN
+        # overflowed from about x = 7.1e4, and inf * 0 made dparams NaN.
+        # soft_root_sign once squared its denominator, which holds the clamped
+        # exp(60) below about x = -180 and overflowed in float32
         st = act_init(kind, 1)
-        x = col([-1e5, 1e5]).astype(np.float32)
+        x = col([-1e5, -3e4, -200.0, 3e4, 1e5]).astype(np.float32)
         dx, dp = act_backward(x, st, np.ones_like(x))
         assert np.all(np.isfinite(act_forward(x, st)))
         assert np.all(np.isfinite(dx)) and np.all(np.isfinite(dp))

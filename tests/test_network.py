@@ -1,11 +1,12 @@
 import io
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stoseg import cli, losses, network, suite
+from stoseg import cli, losses, network, ops, suite
 from stoseg.activations import ActivationKind, act_forward, default_pool
 from stoseg.rng import SplitMix64
 
@@ -147,6 +148,97 @@ class TestPredict:
         m = network.build_model(cfg, relu_assignment(cfg), 9)
         with pytest.raises(ValueError, match=r"\(n, 3"):
             network.forward(m, np.zeros((1, 4, 16, 16), dtype=np.float32))
+
+
+def noised_model(cfg, seed, dtype=np.float64):
+    """A sto-assigned model whose biases (the head's too) and activation
+    parameters are moved off their init values."""
+    asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, seed)
+    m = network.build_model(cfg, asn, seed, dtype=dtype)
+    rng = SplitMix64(seed + 1)
+    for name, b in m.params.items():
+        if name.endswith(".b"):
+            b += ((rng.uniform_array(b.size) - 0.5) * 0.5).astype(dtype)
+    for st in m.acts:
+        suite._noise_params(st, rng)
+    return m
+
+
+class TestDecoder:
+    @pytest.mark.parametrize("dilations", [(1, 2, 4), (3,)])
+    def test_head_before_upsample_equals_upsample_before_head(self, dilations):
+        """The head runs before the x4 upsample; in float64 that matches the
+        feature-upsampling order to rounding, head bias included."""
+        cfg = network.NetworkConfig(input_size=16, stem_width=4, down_width=8, aspp_width=4,
+                                    fuse_width=8, aspp_dilations=dilations)
+        m = noised_model(cfg, 41)
+        assert np.all(m.params["head.b"] != 0.0)
+        img = SplitMix64(42).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16)
+        probs, cache = network.forward(m, img)
+        head = ops.ConvSpec(cfg.num_classes, cfg.fuse_width, 1, 1)
+        up = ops.upsample_bilinear(cache["xs"][-1], 4)
+        old = ops.softmax_channel(ops.conv2d(up, m.params["head.w"], m.params["head.b"], head))
+        np.testing.assert_allclose(probs, old, rtol=0, atol=1e-12)
+
+    def test_only_the_stem_skips_its_input_gradient(self, monkeypatch):
+        cfg = small_config()
+        m = noised_model(cfg, 43)
+        img = SplitMix64(44).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16)
+        probs, cache = network.forward(m, img)
+        calls = []
+        real = ops.conv2d_backward
+
+        def recorder(grad, x, weight, spec, **kwargs):
+            calls.append((spec, kwargs.get("need_dx", True)))
+            return real(grad, x, weight, spec, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d_backward", recorder)
+        network.backward(m, cache, np.ones_like(probs))
+        layers = {spec: name for name, spec in network._conv_layers(cfg)}
+        skipped = [layers[spec] for spec, need_dx in calls if not need_dx]
+        assert len(calls) == len(layers) and skipped == ["stem"]
+
+
+class TestParentCheckpoint:
+    """A checkpoint written before the decoder ran its head first must still
+    predict within float32 rounding.
+
+    ``tests/data/parent_checkpoint.npz`` and ``parent_checkpoint_probs.npy``
+    were written by the code at commit d5b3a57 (upsample, then head) with::
+
+        cfg = network.NetworkConfig(input_size=16, stem_width=4, down_width=8, aspp_width=4,
+                                    fuse_width=8, aspp_dilations=(1, 2))
+        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 61)
+        m = network.build_model(cfg, asn, 61)
+        rng = SplitMix64(62)
+        for name, b in m.params.items():
+            if name.endswith(".b"):
+                b += ((rng.uniform_array(b.size) - 0.5) * 0.5).astype(b.dtype)
+        for st in m.acts:
+            suite._noise_params(st, rng)
+        network.save_model("parent_checkpoint.npz", m)
+        images = SplitMix64(63).uniform_array(4 * 3 * 16 * 16).reshape(4, 3, 16, 16)
+        np.save("parent_checkpoint_probs.npy",
+                network.predict_batch(m, images.astype(np.float32)))
+
+    The model is ``noised_model(cfg, 61, np.float32)``, which the test checks.
+    """
+
+    DATA = Path(__file__).parent / "data"
+
+    def test_loads_and_predicts_within_float32_rounding(self):
+        m = network.load_model(self.DATA / "parent_checkpoint.npz")
+        recipe = noised_model(m.config, 61, dtype=np.float32)
+        assert m.assignment == recipe.assignment
+        for name, value in recipe.parameters().items():
+            np.testing.assert_array_equal(m.parameters()[name], value)
+        assert np.all(m.params["head.b"] != 0.0)
+        assert any(st.params.size for st in m.acts)
+        images = SplitMix64(63).uniform_array(4 * 3 * 16 * 16).reshape(4, 3, 16, 16)
+        want = np.load(self.DATA / "parent_checkpoint_probs.npy")
+        got = network.predict_batch(m, images.astype(np.float32))
+        assert got.dtype == want.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 class TestGradMap:

@@ -87,6 +87,12 @@ class TestConv2d:
         np.testing.assert_array_equal(a, c)
 
 
+BACKWARD_GRID = [
+    (3, 3, 1, 0, 1), (3, 3, 1, 1, 1), (3, 3, 2, 1, 1), (3, 3, 1, 2, 2), (3, 3, 2, 2, 2),
+    (3, 3, 3, 0, 1), (1, 3, 1, 1, 1), (3, 1, 2, 1, 2), (2, 3, 1, 1, 1),
+]
+
+
 class TestConvBackward:
     def test_bias_gradient_counts_positions(self):
         x = SplitMix64(2).normal_array((2, 1, 4, 4))
@@ -114,10 +120,7 @@ class TestConvBackward:
         with pytest.raises(ValueError, match=match):
             ops.conv2d_backward(np.zeros((1, 1, 4, 4)), np.zeros(x_shape), np.zeros(w_shape), spec)
 
-    @pytest.mark.parametrize("kh,kw,stride,padding,dilation", [
-        (3, 3, 1, 0, 1), (3, 3, 1, 1, 1), (3, 3, 2, 1, 1), (3, 3, 1, 2, 2), (3, 3, 2, 2, 2),
-        (3, 3, 3, 0, 1), (1, 3, 1, 1, 1), (3, 1, 2, 1, 2), (2, 3, 1, 1, 1),
-    ])
+    @pytest.mark.parametrize("kh,kw,stride,padding,dilation", BACKWARD_GRID)
     def test_adjoint_identity_and_bias_count(self, kh, kw, stride, padding, dilation):
         # <conv(x, w), g> == <x, dx> == <w, dw>, with conv from the loop oracle
         rng = SplitMix64(kh * 31 + kw * 13 + stride * 7 + padding * 3 + dilation)
@@ -138,6 +141,22 @@ class TestConvBackward:
                     for ox in range(y.shape[3]):
                         want_db[oc] += g[ni, oc, oy, ox]
         np.testing.assert_allclose(db, want_db, atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh,kw,stride,padding,dilation", BACKWARD_GRID)
+    def test_weight_gradients_without_dx(self, kh, kw, stride, padding, dilation, dtype):
+        # need_dx=False skips only dx: dweight and dbias are the full call's, bit for bit
+        rng = SplitMix64(kh * 29 + kw * 11 + stride * 5 + padding * 3 + dilation)
+        spec = ops.ConvSpec(4, 3, kh, kw, stride=stride, padding=padding, dilation=dilation)
+        x = rng.normal_array((2, 3, 7, 8)).astype(dtype)
+        w = rng.normal_array((4, 3, kh, kw)).astype(dtype)
+        g = rng.normal_array((2, 4) + spec.output_hw(7, 8)).astype(dtype)
+        _, dw, db = ops.conv2d_backward(g, x, w, spec)
+        dx_skipped, dw_skipped, db_skipped = ops.conv2d_backward(g, x, w, spec, need_dx=False)
+        assert dx_skipped is None
+        assert dw_skipped.dtype == dw.dtype and db_skipped.dtype == db.dtype
+        np.testing.assert_array_equal(dw_skipped, dw)
+        np.testing.assert_array_equal(db_skipped, db)
 
 
 class TestStridedInputs:
