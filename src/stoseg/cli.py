@@ -17,6 +17,7 @@ from . import data as data_mod
 from . import ensemble as ens_mod
 from . import network, suite
 from .activations import ActivationKind, default_pool
+from .fileio import write_atomic
 from .losses import TrainConfig, train_model
 from .metrics import CSV_COLUMNS, MetricReport
 from .rng import derive_seed
@@ -170,20 +171,20 @@ def split_dataset(cfg, ds, seed: int):
 
 def write_resolved(cfg: dict[str, str], out: Path) -> None:
     lines = [f"{k}={cfg[k]}" for k in sorted(cfg)]
-    (out / "config.resolved").write_text("\n".join(lines) + "\n")
+    write_atomic(out / "config.resolved", ("\n".join(lines) + "\n").encode())
 
 
 def write_results_csv(path: Path, rows: list[tuple[str, MetricReport]]) -> None:
     lines = ["name," + ",".join(CSV_COLUMNS)]
     for name, report in rows:
         lines.append(name + "," + ",".join(f"{v:.6f}" for v in report.csv_values()))
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def write_loss_history(path: Path, history: list[float]) -> None:
     lines = ["epoch,mean_loss"]
     lines += [f"{e},{v:.8f}" for e, v in enumerate(history)]
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _prepare_out(cfg) -> Path:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .activations import ActivationKind, default_pool
 from .data import Sample, resize_for_train, resize_pred_back
+from .fileio import write_atomic
 from .losses import TrainConfig, train_model
 from .metrics import MetricReport, evaluate_set
 from .network import (
@@ -199,7 +200,7 @@ def save_ensemble(directory, ens: Ensemble) -> None:
         **_spec_record(ens.spec),
         "member_seeds": ens.member_seeds,
     }
-    (directory / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2) + "\n")
+    write_atomic(directory / MANIFEST_NAME, (json.dumps(manifest, indent=2) + "\n").encode())
 
 
 def load_ensemble(directory, spec: EnsembleSpec) -> Ensemble:

@@ -28,7 +28,9 @@ Gradients are exchanged as a "GradMap": a plain dict from parameter name
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import os
 import zipfile
 from dataclasses import dataclass, field
 
@@ -36,6 +38,7 @@ import numpy as np
 
 from . import ops
 from .activations import ActivationKind, ActivationState, PARAM_COUNTS, act_backward, act_forward, act_init
+from .fileio import write_atomic
 from .rng import SplitMix64
 
 CHECKPOINT_FORMAT = "stoseg-model"
@@ -268,7 +271,9 @@ def predict(model: Model, image: np.ndarray) -> np.ndarray:
 
 
 def save_model(path, model: Model) -> None:
-    """Write a versioned checkpoint; round-trips bit-exactly."""
+    """Write a versioned checkpoint atomically; round-trips bit-exactly.
+
+    As with ``np.savez``, ``.npz`` is appended to a path without it."""
     meta = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -280,7 +285,10 @@ def save_model(path, model: Model) -> None:
     arrays = {f"param:{k}": v for k, v in model.params.items()}
     for i, st in enumerate(model.acts):
         arrays[f"act:{i}"] = st.params
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    buf = io.BytesIO()
+    np.savez(buf, __meta__=np.array(json.dumps(meta)), **arrays)
+    path = os.fspath(path)
+    write_atomic(path if path.endswith(".npz") else path + ".npz", buf.getvalue())
 
 
 def _expected_arrays(config: NetworkConfig, assignment) -> dict[str, tuple[int, ...]]:

@@ -5,7 +5,9 @@ float32 during training and float64 when gradients are being verified.
 Every operation is a pure function, and all reductions happen in a fixed
 order, so repeated runs produce bit-identical results. Convolution is
 im2col + GEMM over a read-only strided view of the padded input's patches:
-no index arrays, no gather, and at most one copy, to flatten that view.
+no index arrays and no gather. A padded input is copied once into a zeroed
+buffer (an unpadded one is viewed in place), the view is flattened with at
+most one more copy, and the bias is added into the GEMM's output.
 """
 
 from __future__ import annotations
@@ -83,9 +85,18 @@ def _check_conv_args(x, weight, spec, bias=None):
 
 def _patches(x, spec, oh, ow):
     """Read-only (n, c, kh, kw, oh, ow) view of the receptive fields of the
-    zero-padded ``x``, sharing memory with the padded input."""
+    zero-padded ``x``.
+
+    With padding, ``x`` is copied into the interior of a zeroed
+    (n, c, h + 2p, w + 2p) buffer of its dtype, and the view sits on that
+    buffer; without, the view sits on ``x`` itself, whatever its strides.
+    """
     p, d, s = spec.padding, spec.dilation, spec.stride
-    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    xp = x
+    if p:
+        n, c, h, w = x.shape
+        xp = np.zeros((n, c, h + 2 * p, w + 2 * p), x.dtype)
+        xp[:, :, p : p + h, p : p + w] = x
     sn, sc, sh, sw = xp.strides
     shape = xp.shape[:2] + (spec.kernel_h, spec.kernel_w, oh, ow)
     return as_strided(xp, shape, (sn, sc, sh * d, sw * d, sh * s, sw * s), writeable=False)
@@ -94,13 +105,16 @@ def _patches(x, spec, oh, ow):
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """2-D convolution with stride, zero padding, and dilation: one batched
     matmul of the weights with the flattened patch view, reducing over
-    c*kh*kw in a fixed order."""
+    c*kh*kw in a fixed order. The bias is added in place into the matmul's
+    output, so the result has the dtype of ``x`` and ``weight`` combined,
+    and a wider ``bias`` is cast down to it."""
     _check_conv_args(x, weight, spec, bias)
     n, _, h, w = x.shape
     oh, ow = spec.output_hw(h, w)
     cols = _patches(x, spec, oh, ow).reshape(n, -1, oh * ow)
     wmat = weight.reshape(spec.out_channels, -1)
-    y = np.matmul(wmat, cols) + bias[:, None]
+    y = np.matmul(wmat, cols)
+    y += bias[:, None]
     return y.reshape(n, spec.out_channels, oh, ow)
 
 

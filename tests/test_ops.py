@@ -204,6 +204,69 @@ class TestStridedInputs:
             view[0, 0, 0, 0, 0, 0] = 1.0
 
 
+def _np_pad_patches(x, spec, oh, ow):
+    """The patch view over an ``np.pad`` copy: the reference for ``_patches``."""
+    p, d, s = spec.padding, spec.dilation, spec.stride
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    sn, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, xp.shape[:2] + (spec.kernel_h, spec.kernel_w, oh, ow),
+        (sn, sc, sh * d, sw * d, sh * s, sw * s))
+
+
+class TestPaddedPatches:
+    """A padded input is copied into a zeroed buffer, not through ``np.pad``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh,kw,stride,_,dilation", BACKWARD_GRID)
+    def test_equals_np_pad_reference_bit_for_bit(self, kh, kw, stride, _, dilation, dtype):
+        base = SplitMix64(kh * 7 + kw * 3 + stride * 5 + dilation).normal_array((2, 6, 7, 8))
+        base[0, 0, 0, :3] = -0.0
+        base = base.astype(dtype)
+        inputs = {"contiguous": base[:, :3], "channel_step": base[:, ::2],
+                  "negative_width": base[:, :3, :, ::-1]}
+        for padding in range(1, 5):
+            spec = ops.ConvSpec(4, 3, kh, kw, stride=stride, padding=padding, dilation=dilation)
+            oh, ow = spec.output_hw(7, 8)
+            for name, x in inputs.items():
+                got = ops._patches(x, spec, oh, ow)
+                want = _np_pad_patches(x, spec, oh, ow)
+                assert got.dtype == want.dtype and got.shape == want.shape, (name, padding)
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), \
+                    (name, padding)
+                assert not got.flags.writeable and not np.shares_memory(got, x)
+
+    def test_conv_never_calls_np_pad(self, monkeypatch):
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad called")
+
+        rng = SplitMix64(8)
+        spec = ops.ConvSpec(4, 3, 3, 3, stride=2, padding=2, dilation=2)
+        x = rng.normal_array((2, 3, 9, 9))
+        w = rng.normal_array((4, 3, 3, 3))
+        b = rng.normal_array((4,))
+        monkeypatch.setattr(np, "pad", no_pad)
+        y = ops.conv2d(x, w, b, spec)
+        dx, _, _ = ops.conv2d_backward(np.ones_like(y), x, w, spec)
+        assert dx.shape == x.shape
+        assert ops.conv2d_backward(np.ones_like(y), x, w, spec, need_dx=False)[0] is None
+
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_float32_bias_added_in_place(self, padding):
+        # the in-place add gives the same float32 bits as matmul(...) + b[:, None]
+        rng = SplitMix64(9 + padding)
+        spec = ops.ConvSpec(5, 3, 3, 3, padding=padding)
+        x = rng.normal_array((2, 3, 6, 7)).astype(np.float32)
+        w = rng.normal_array((5, 3, 3, 3)).astype(np.float32)
+        b = rng.normal_array((5,)).astype(np.float32)
+        oh, ow = spec.output_hw(6, 7)
+        cols = _np_pad_patches(x, spec, oh, ow).reshape(2, -1, oh * ow)
+        want = (np.matmul(w.reshape(5, -1), cols) + b[:, None]).reshape(2, 5, oh, ow)
+        y = ops.conv2d(x, w, b, spec)
+        assert y.dtype == np.float32 and want.dtype == np.float32
+        assert y.tobytes() == want.tobytes()
+
+
 class TestUpsample:
     def test_factor_one_is_identity(self):
         x = SplitMix64(3).normal_array((1, 2, 3, 3))
