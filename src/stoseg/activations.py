@@ -53,6 +53,13 @@ The other kinds are bespoke: srelu has learnable knots, the smooth kinds
 have no finite segment form, and relu, leaky_relu and prelu are kept
 elementwise because the table is slower for them (at 8x16x64x64 float32:
 about 15x for relu, and about 2x in the backward pass for the other two).
+
+The bespoke kinds pick their pieces without ``np.where``, whose data-
+dependent branch costs several times a ufunc pass on mixed signs: with
+``np.maximum``/``np.minimum`` where one piece bounds the other, and else by
+multiplying the pieces with 0/1 masks and adding them. Both are exact, so
+every value equals that of the ``np.where`` form (zeros may differ in sign).
+A masked piece must be finite, so srelu maps an infinite input to NaN.
 """
 
 from __future__ import annotations
@@ -138,7 +145,9 @@ def _bc(state: ActivationState, row: int) -> np.ndarray:
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(z))  # never overflows: 1/(1+e) for z >= 0, e/(1+e) below
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    s = np.maximum(e, z >= 0)  # e <= 1, so this is 1 for z >= 0 and e below
+    e += 1.0
+    return np.divide(s, e, out=s)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -162,48 +171,64 @@ def _bwd_relu(x, st, up):
 
 
 def _fwd_leaky(x, st):
-    return np.where(x >= 0, x, LEAKY_SLOPE * x)
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
 def _bwd_leaky(x, st, up):
-    return up * np.where(x >= 0, 1.0, LEAKY_SLOPE).astype(x.dtype), None
+    return up * np.maximum(x >= 0, x.dtype.type(LEAKY_SLOPE)), None  # slope 1 or LEAKY_SLOPE
 
 
-# np.where evaluates both branches, so elu's and pdelu's negative branch reads
-# np.minimum(x, 0.0): the discarded large-x values can never overflow.
 def _fwd_elu(x, st):
-    return np.where(x < 0, np.expm1(np.minimum(x, 0.0)), x)
+    y = np.minimum(x, 0.0)
+    np.expm1(y, out=y)
+    return np.maximum(y, x, out=y)  # expm1(x) > x below 0
 
 
 def _bwd_elu(x, st, up):
-    return up * np.where(x < 0, np.exp(np.minimum(x, 0.0)), 1.0), None
+    return up * np.exp(np.minimum(x, 0.0)), None
 
 
 def _fwd_prelu(x, st):
-    return np.where(x >= 0, x, _bc(st, 0) * x)
+    y = np.minimum(x, 0.0)
+    y *= _bc(st, 0)
+    y += np.maximum(x, 0.0)
+    return y
 
 
 def _bwd_prelu(x, st, up):
-    dx = up * np.where(x >= 0, 1.0, _bc(st, 0)).astype(x.dtype)
-    da = _sum_cnhw(up * x * (x < 0))
-    return dx, da[None, :]
+    neg = (x < 0).astype(x.dtype)
+    slope = neg * _bc(st, 0)
+    slope += 1.0 - neg
+    da = _sum_cnhw(up * x * neg)
+    return np.multiply(up, slope, out=slope), da[None, :]
 
 
 def _fwd_srelu(x, st):
     tl, al, tr, ar = (_bc(st, i) for i in range(4))
-    return np.where(x < tl, tl + al * (x - tl), np.where(x >= tr, tr + ar * (x - tr), x))
+    y = np.maximum(x - tr, 0.0)
+    y *= ar
+    y += np.minimum(x, tr)  # x below tr, tr + ar * (x - tr) from tr up
+    left = x < tl  # takes precedence if thresholds ever cross during training
+    lo = (x - tl) * al
+    lo += tl
+    y *= ~left
+    lo *= left
+    y += lo
+    return y
 
 
 def _bwd_srelu(x, st, up):
     tl, al, tr, ar = (_bc(st, i) for i in range(4))
     left = x < tl  # takes precedence if thresholds ever cross during training
     right = (x >= tr) & ~left
-    slope = np.where(left, al, np.where(right, ar, 1.0)).astype(x.dtype)
     dtl = _sum_cnhw(up * (1.0 - al) * left)
     dal = _sum_cnhw(up * (x - tl) * left)
     dtr = _sum_cnhw(up * (1.0 - ar) * right)
     dar = _sum_cnhw(up * (x - tr) * right)
-    return up * slope, np.stack([dtl, dal, dtr, dar])
+    slope = left * al  # al, ar or 1: each of the three masks is 1 on its piece
+    slope += right * ar
+    slope += ~(left | right)
+    return np.multiply(up, slope, out=slope), np.stack([dtl, dal, dtr, dar])
 
 
 def _pdelu_base(x):
@@ -212,14 +237,21 @@ def _pdelu_base(x):
 
 
 def _fwd_pdelu(x, st):
-    return np.where(x < 0, _bc(st, 0) * (_pdelu_base(x) ** PDELU_POWER - 1.0), x)
+    y = _pdelu_base(x) ** PDELU_POWER
+    y -= 1.0
+    y *= _bc(st, 0)  # 0 from x = 0 up, where the base is 1
+    y += np.maximum(x, 0.0)
+    return y
 
 
 def _bwd_pdelu(x, st, up):
-    alpha, neg, base = _bc(st, 0), x < 0, _pdelu_base(x)
-    dx = up * np.where(neg, alpha * base ** (PDELU_POWER - 1.0), 1.0)
+    neg, base = x < 0, _pdelu_base(x)
     dalpha = _sum_cnhw(up * (base**PDELU_POWER - 1.0) * neg)
-    return dx, dalpha[None, :]
+    slope = base ** (PDELU_POWER - 1.0)
+    slope *= _bc(st, 0)
+    slope *= neg
+    slope += ~neg  # alpha * base^9 below 0 and 1 from 0 up
+    return np.multiply(up, slope, out=slope), dalpha[None, :]
 
 
 def _swish_parts(x, beta):

@@ -21,6 +21,15 @@ num_classes channels instead of fuse_width, and runs the head at the
 encoder's resolution. The forward and backward passes, the site count and
 channels, parameter init and checkpoint validation all walk the table.
 
+``predict_batch`` runs ``forward`` over consecutive blocks of
+``_PREDICT_BLOCK`` (8, the training batch size) images and writes each
+block's probabilities into one preallocated output. Every op of the forward
+pass works per image or per pixel (the conv's batched matmul is one GEMM of
+the same shape per image), so the result is bit-identical to one pass over
+the whole batch; blocking only bounds the intermediates. At the default
+config, numpy's traced peak while one member predicts 64 images is about
+13 MB (2 MB of it the output) instead of 91 MB in one pass.
+
 Gradients are exchanged as a "GradMap": a plain dict from parameter name
 ("stem.w", "act0.params", ...) to an array of the parameter's shape.
 """
@@ -47,6 +56,7 @@ CHECKPOINT_VERSION = 1
 ASSIGNMENT_MODES = ("act", "sto", "relu")
 
 _UPSAMPLE = 4  # decoder upsampling factor
+_PREDICT_BLOCK = 8  # images per forward pass in predict_batch
 
 Layer = tuple[str, ops.ConvSpec]
 
@@ -200,6 +210,15 @@ def _conv(model: Model, layer: Layer, x: np.ndarray) -> np.ndarray:
     return ops.conv2d(x, model.params[f"{name}.w"], model.params[f"{name}.b"], spec)
 
 
+def _check_images(cfg: NetworkConfig, images: np.ndarray) -> None:
+    if images.ndim != 4 or images.shape[1] != 3 or images.shape[0] < 1:
+        raise ValueError(f"expected (n, 3, h, w) input with n >= 1, got {images.shape}")
+    if images.shape[2] != cfg.input_size or images.shape[3] != cfg.input_size:
+        raise ValueError(
+            f"input spatial size {images.shape[2:]} != config input_size {cfg.input_size}"
+        )
+
+
 def forward(model: Model, images: np.ndarray):
     """Batched forward pass: (n, 3, S, S) -> probabilities (n, 2, S, S).
 
@@ -208,13 +227,7 @@ def forward(model: Model, images: np.ndarray):
     sites in site order, and ``cache["xs"][k]`` is the input of stage ``k``
     (the image for the first stage; the last entry is the encoder output).
     """
-    cfg = model.config
-    if images.ndim != 4 or images.shape[1] != 3:
-        raise ValueError(f"expected (n, 3, h, w) input, got {images.shape}")
-    if images.shape[2] != cfg.input_size or images.shape[3] != cfg.input_size:
-        raise ValueError(
-            f"input spatial size {images.shape[2:]} != config input_size {cfg.input_size}"
-        )
+    _check_images(model.config, images)
     xs = [images]
     pre: list[np.ndarray] = []
     for stage in model._stages:
@@ -259,7 +272,16 @@ def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndar
 
 
 def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
-    probs, _ = forward(model, images.astype(model.dtype, copy=False))
+    """Probability maps (n, 2, S, S) for (n, 3, S, S) images, cast to the
+    model's dtype: ``forward`` over consecutive blocks of ``_PREDICT_BLOCK``
+    images, each written into one preallocated output. Bit-identical to
+    ``forward(model, images)[0]``, with the working set of one block."""
+    images = images.astype(model.dtype, copy=False)
+    _check_images(model.config, images)
+    n, _, size, _ = images.shape
+    probs = np.empty((n, model.config.num_classes, size, size), model.dtype)
+    for i in range(0, n, _PREDICT_BLOCK):
+        probs[i : i + _PREDICT_BLOCK] = forward(model, images[i : i + _PREDICT_BLOCK])[0]
     return probs
 
 

@@ -1,4 +1,7 @@
-"""Minimal 8-bit PNM codec: P6 (binary RGB), P5 (binary gray), P2 (ASCII gray)."""
+"""Minimal 8-bit PNM codec: P6 (binary RGB), P5 (binary gray), P2 (ASCII gray).
+
+Files are written atomically (``fileio.write_atomic``).
+"""
 
 from __future__ import annotations
 
@@ -6,6 +9,8 @@ import re
 from pathlib import Path
 
 import numpy as np
+
+from .fileio import write_atomic
 
 
 def _parse_header(data: bytes, path, n_tokens: int):
@@ -80,9 +85,7 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3 or rgb.dtype != np.uint8:
         raise ValueError(f"write_ppm needs a (H, W, 3) uint8 array, got {rgb.shape} {rgb.dtype}")
     h, w = rgb.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(rgb.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode("ascii") + rgb.tobytes())
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -91,6 +94,4 @@ def write_pgm(path, gray: np.ndarray) -> None:
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise ValueError(f"write_pgm needs a (H, W) uint8 array, got {gray.shape} {gray.dtype}")
     h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(gray.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())

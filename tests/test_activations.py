@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -220,3 +222,59 @@ class TestContinuity:
             f0, f1 = act_forward(col([k, k + h]), st).ravel()
             dx, _ = act_backward(col([k]), st, col([1.0]))
             assert abs(dx.ravel()[0] - (f1 - f0) / h) <= 1e-6, f"kink at {k}"
+
+
+def parent_cases():
+    """``(name, state, x, upstream)`` for every kind in float32 and float64,
+    plus one srelu whose thresholds cross. Parameters are noised, and the
+    first entries of each (2, 3, 1, 56) input are every kink with its two
+    neighbouring floats, ±0.0, ±1e5 and -20; the rest are normal draws."""
+    cases = []
+    for dtype in (np.float32, np.float64):
+        for i, kind in enumerate(ALL_KINDS + [ActivationKind.SRELU]):
+            st = act_init(kind, 3, dtype=dtype)
+            rng = SplitMix64(7100 + i)
+            suite._noise_params(st, rng)
+            name = kind.value
+            if i == len(ALL_KINDS):
+                st.params[0], st.params[2], name = 0.5, -0.5, "srelu_crossed"
+            kinks = kink_points(st).astype(dtype)
+            special = np.concatenate([kinks, np.nextafter(kinks, -np.inf),
+                                      np.nextafter(kinks, np.inf),
+                                      [0.0, -0.0, 1e5, -1e5, -20.0]]).astype(dtype)
+            x = (rng.normal_array((2, 3, 1, 56)) * 3.0).astype(dtype)
+            x[..., : special.size] = special
+            up = rng.normal_array(x.shape).astype(dtype)
+            cases.append((f"{np.dtype(dtype).name}.{name}", st, x, up))
+    return cases
+
+
+class TestParentActivations:
+    """Every kind's forward and backward outputs equal those of the code
+    before the activation selects became branch-free, in value and dtype (a
+    zero may differ in sign: prelu now maps -0.0 to +0.0).
+
+    ``tests/data/parent_activations.npz`` was written by the code at commit
+    7761a23 with::
+
+        arrays = {}
+        for name, st, x, up in parent_cases():
+            dx, dp = act_backward(x, st, up)
+            arrays.update({f"{name}.x": x, f"{name}.up": up, f"{name}.y": act_forward(x, st),
+                           f"{name}.dx": dx, f"{name}.dp": dp})
+        np.savez("parent_activations.npz", **arrays)
+    """
+
+    DATA = Path(__file__).parent / "data" / "parent_activations.npz"
+
+    @pytest.mark.parametrize("case", parent_cases(), ids=lambda c: c[0])
+    def test_equals_parent(self, case):
+        name, st, x, up = case
+        with np.load(self.DATA) as want:
+            np.testing.assert_array_equal(want[f"{name}.x"], x)
+            np.testing.assert_array_equal(want[f"{name}.up"], up)
+            dx, dp = act_backward(x, st, up)
+            for field, got in (("y", act_forward(x, st)), ("dx", dx), ("dp", dp)):
+                ref = want[f"{name}.{field}"]
+                assert got.dtype == ref.dtype, field
+                assert np.array_equal(got, ref), field

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stoseg import cli, ensemble, network
+from stoseg import cli, data, ensemble, network
 from stoseg.fileio import write_atomic
 from stoseg.metrics import MetricReport
 from test_ensemble import tiny_spec
@@ -83,6 +83,22 @@ def test_every_output_file_is_written_atomically(name, tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         WRITERS[name](tmp_path)
     assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("name", ["images/synth00001.ppm", "masks/synth00001.pgm"])
+def test_dataset_files_are_written_atomically(name, tmp_path, monkeypatch):
+    ds = data.synth_blobs(2, 16, 5)
+    data.save_dataset(ds, tmp_path)
+
+    def tree():
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    (tmp_path / name).write_bytes(b"old")
+    before = tree()
+    _fail_replace_of(Path(name).name, monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        data.save_dataset(ds, tmp_path)
+    assert tree() == before
 
 
 def test_save_model_appends_npz_suffix(tmp_path):

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,10 +151,11 @@ class TestPredict:
             network.forward(m, np.zeros((1, 4, 16, 16), dtype=np.float32))
 
 
-def noised_model(cfg, seed, dtype=np.float64):
-    """A sto-assigned model whose biases (the head's too) and activation
-    parameters are moved off their init values."""
-    asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, seed)
+def noised_model(cfg, seed, dtype=np.float64, asn=None):
+    """A model, sto-assigned unless ``asn`` is given, whose biases (the
+    head's too) and activation parameters are moved off their init values."""
+    if asn is None:
+        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, seed)
     m = network.build_model(cfg, asn, seed, dtype=dtype)
     rng = SplitMix64(seed + 1)
     for name, b in m.params.items():
@@ -162,6 +164,57 @@ def noised_model(cfg, seed, dtype=np.float64):
     for st in m.acts:
         suite._noise_params(st, rng)
     return m
+
+
+class TestPredictBlocks:
+    """predict_batch runs forward over blocks of _PREDICT_BLOCK images."""
+
+    @staticmethod
+    def pool_models(dtype):
+        """Noised models whose sites together hold every kind of the pool."""
+        cfg = small_config()
+        pool, sites, models = default_pool(), cfg.site_count, []
+        for start in range(0, len(pool), sites):
+            asn = tuple((pool * 2)[start : start + sites])
+            models.append(noised_model(cfg, start, dtype, asn))
+        assert {k for m in models for k in m.assignment} == set(default_pool())
+        return models
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+    def test_equals_one_forward_bit_for_bit(self, dtype, n):
+        img = SplitMix64(n).uniform_array(n * 3 * 16 * 16).reshape(n, 3, 16, 16).astype(dtype)
+        for m in self.pool_models(dtype):
+            got = network.predict_batch(m, img)
+            want, _ = network.forward(m, img)
+            assert got.dtype == want.dtype == dtype
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_is_one_block(self):
+        cfg = network.NetworkConfig()
+        m = network.build_model(cfg, relu_assignment(cfg), 13)
+        img = SplitMix64(14).uniform_array(64 * 3 * 64 * 64).reshape(64, 3, 64, 64)
+        img = img.astype(np.float32)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for n in (8, 64):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                probs = network.predict_batch(m, img[:n])
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+                del probs
+        finally:
+            tracemalloc.stop()
+        assert peaks[64] <= peaks[8] + 2 * (64 * 2 * 64 * 64 * 4), peaks
+
+    def test_empty_batch_rejected(self):
+        cfg = small_config()
+        m = network.build_model(cfg, relu_assignment(cfg), 9)
+        empty = np.zeros((0, 3, 16, 16), dtype=np.float32)
+        for fn in (network.forward, network.predict_batch):
+            with pytest.raises(ValueError, match=r"\(0, 3, 16, 16\)"):
+                fn(m, empty)
 
 
 class TestDecoder:
