@@ -8,7 +8,7 @@ from .ensemble import Ensemble, EnsembleSpec, ensemble_evaluate, fuse_probs, tra
 from .gradcheck import gradcheck
 from .losses import TrainConfig, dice_loss, sgd_step, train_model, weighted_ce
 from .metrics import ConfusionCounts, MetricReport, confusion, evaluate_set, metrics_from_counts
-from .network import Model, NetworkConfig, assign_activations, build_model, load_model, predict, save_model
+from .network import Model, NetworkConfig, assign_activations, build_model, load_model, save_model
 from .ops import ConvSpec, conv2d, softmax_channel, upsample_bilinear
 
 __version__ = "0.1.0"
@@ -43,7 +43,6 @@ __all__ = [
     "load_dir",
     "load_model",
     "metrics_from_counts",
-    "predict",
     "resize_for_train",
     "resize_pred_back",
     "save_model",

@@ -1,10 +1,12 @@
 """Batch experiment runner driven by key=value config files.
 
 Subcommands: ``synth`` (emit a dataset in the PNM layout), ``train`` (one
-model), ``eval`` (checkpoint against a test set), ``ensemble`` (train and
-evaluate an ensemble), ``gradcheck`` (the full gradient suite). Every run
-writes the fully resolved config next to its outputs, and all randomness
-flows from the single master seed.
+ensemble member: ``model.activation=sto`` gives ``ensemble``'s member 0 in
+``sto`` mode, a kind name the ``act`` member of the full pool that uses it),
+``eval`` (checkpoint against a test set), ``ensemble`` (train and evaluate
+an ensemble), ``gradcheck`` (the full gradient suite). Every run writes the
+fully resolved config next to its outputs, and all randomness flows from
+the single master seed.
 """
 
 from __future__ import annotations
@@ -16,19 +18,18 @@ from pathlib import Path
 from . import data as data_mod
 from . import ensemble as ens_mod
 from . import network, suite
-from .activations import ActivationKind, default_pool
+from .activations import POOL_ORDER, ActivationKind
 from .fileio import write_atomic
 from .losses import TrainConfig, train_model
 from .metrics import CSV_COLUMNS, MetricReport
 from .rng import derive_seed
 
-# seed stream tags (documented so runs can be reproduced piecewise)
+# seed stream tags (documented so runs can be reproduced piecewise); every
+# model, from ``train`` or ``ensemble``, is seeded from the TAG_ENSEMBLE stream
 TAG_DATA = 1
 TAG_SPLIT = 2
 TAG_ENSEMBLE = 3
 TAG_SHUFFLE = 4
-TAG_INIT = 5
-TAG_ASSIGN = 6
 
 DEFAULTS: dict[str, str] = {
     "name": "microseg",
@@ -194,21 +195,6 @@ def _prepare_out(cfg) -> Path:
     return out
 
 
-def _single_assignment(cfg, net_cfg, seed: int):
-    choice = cfg["model.activation"]
-    if choice == "sto":
-        return network.assign_activations(
-            "sto", default_pool()[: _as_int(cfg, "ensemble.pool_size")],
-            net_cfg.site_count, 0, derive_seed(seed, TAG_ASSIGN),
-        )
-    try:
-        kind = ActivationKind(choice)
-    except ValueError:
-        names = ", ".join(k.value for k in default_pool())
-        raise ConfigError(f"model.activation must be 'sto' or one of: {names}")
-    return tuple([kind] * net_cfg.site_count)
-
-
 def cmd_synth(cfg) -> int:
     out = _prepare_out(cfg)
     seed = _as_int(cfg, "seed")
@@ -224,14 +210,24 @@ def cmd_synth(cfg) -> int:
 def cmd_train(cfg) -> int:
     out = _prepare_out(cfg)
     seed = _as_int(cfg, "seed")
-    net_cfg = network_config(cfg)
+    choice = cfg["model.activation"]
+    if choice == "sto":
+        mode, pool_size, index = "sto", _as_int(cfg, "ensemble.pool_size"), 0
+    else:
+        try:
+            kind = ActivationKind(choice)
+        except ValueError:
+            names = ", ".join(k.value for k in POOL_ORDER)
+            raise ConfigError(f"model.activation must be 'sto' or one of: {names}")
+        mode, pool_size, index = "act", len(POOL_ORDER), POOL_ORDER.index(kind)
+    spec = ens_mod.EnsembleSpec(mode=mode, size=1, master_seed=derive_seed(seed, TAG_ENSEMBLE),
+                                network=network_config(cfg), train=train_config(cfg, seed),
+                                pool_size=pool_size)
     ds = load_dataset(cfg, seed)
     train_ds, _ = split_dataset(cfg, ds, seed)
-    train_samples = [data_mod.resize_for_train(s, net_cfg.input_size) for s in train_ds]
-    model = network.build_model(
-        net_cfg, _single_assignment(cfg, net_cfg, seed), derive_seed(seed, TAG_INIT)
-    )
-    model, history = train_model(model, train_samples, train_config(cfg, seed))
+    train_samples = [data_mod.resize_for_train(s, spec.network.input_size) for s in train_ds]
+    model = ens_mod.build_member(spec, index, ens_mod.member_seeds(spec.master_seed, 1)[0])
+    model, history = train_model(model, train_samples, spec.train)
     network.save_model(out / "model.npz", model)
     write_loss_history(out / "loss_history.csv", history)
     print(f"trained {cfg['name']} for {len(history)} epochs; "

@@ -17,6 +17,7 @@ from .fileio import write_atomic
 from .losses import TrainConfig, train_model
 from .metrics import MetricReport, evaluate_set
 from .network import (
+    ASSIGNMENT_MODES,
     Model,
     NetworkConfig,
     assign_activations,
@@ -43,7 +44,7 @@ class EnsembleSpec:
     pool_size: int = DEFAULT_POOL_SIZE
 
     def __post_init__(self):
-        if self.mode not in ("act", "sto", "relu"):
+        if self.mode not in ASSIGNMENT_MODES:
             raise ValueError(f"unknown ensemble mode {self.mode!r}")
         if self.size < 1:
             raise ValueError(f"ensemble size must be >= 1, got {self.size}")
@@ -62,17 +63,22 @@ class EnsembleSpec:
 class Ensemble:
     members: list[Model]
     spec: EnsembleSpec
-    member_seeds: list[int]
 
     def __post_init__(self):
         if len(self.members) != self.spec.size:
             raise ValueError("member count does not match spec size")
-        if len(set(self.member_seeds)) != len(self.member_seeds):
-            raise ValueError("member seeds must be pairwise distinct")
+
+    @property
+    def member_seeds(self) -> list[int]:
+        return member_seeds(self.spec.master_seed, self.spec.size)
 
 
 def member_seeds(master_seed: int, size: int) -> list[int]:
-    """Member i's seed is the i-th output of the stream seeded by master_seed."""
+    """Member i's seed is the i-th output of the stream seeded by master_seed.
+
+    The outputs are ``mix64(master_seed + i * GOLDEN)``: ``mix64`` is a
+    bijection and ``GOLDEN`` is odd, so the seeds are pairwise distinct.
+    """
     stream = SplitMix64(master_seed)
     return [stream.next_u64() for _ in range(size)]
 
@@ -98,16 +104,19 @@ def train_ensemble(
 
     Each member's activation assignment and weight init derive only from
     its own seed, so results are identical whether members run
-    sequentially or in a process pool.
+    sequentially or in a pool of ``min(parallel, spec.size)`` processes.
     """
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     samples = list(train_set)
     if not samples:
         raise ValueError("training set is empty")
     seeds = member_seeds(spec.master_seed, spec.size)
     jobs = [(spec, samples, i, seeds[i]) for i in range(spec.size)]
     models: list[Model] = []
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = min(parallel, spec.size)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_train_member, job) for job in jobs]
             for i, fut in enumerate(futures):
                 try:
@@ -120,16 +129,18 @@ def train_ensemble(
                 models.append(_train_member(job))
             except Exception as exc:
                 raise RuntimeError(f"training member {i} failed: {exc}") from exc
-    return Ensemble(members=models, spec=spec, member_seeds=seeds)
+    return Ensemble(members=models, spec=spec)
 
 
 def fuse_probs(maps: Sequence[np.ndarray]) -> np.ndarray:
     """Sum-rule fusion: the arithmetic mean of the members' probability maps.
 
-    Computed in float64 as ``m0 + sum(mi - m0) / N``. The deviations of
-    copies from the first map are exactly zero, so fusing N copies of a map
-    returns the map itself in float32 and float64 alike, and member order
-    changes the result only by float64 rounding.
+    Computed in float64 as ``m0 + sum(mi - m0) / N``, summing the deviations
+    in member order. The deviations of copies from the first map are exactly
+    zero, so fusing N copies of a map returns the map itself in float32 and
+    float64 alike, and member order changes the result only by float64
+    rounding. The inputs are cast to float64 inside the ufuncs, so the only
+    full-size temporaries are the running total and one deviation.
     """
     maps = list(maps)
     if not maps:
@@ -138,16 +149,14 @@ def fuse_probs(maps: Sequence[np.ndarray]) -> np.ndarray:
     for i, m in enumerate(maps):
         if m.shape != shape:
             raise ValueError(f"map {i} has shape {m.shape}, expected {shape}")
-    m0 = np.asarray(maps[0], dtype=np.float64)
-    stacked = np.stack([np.asarray(m, dtype=np.float64) for m in maps])
-    stacked -= m0
-    return m0 + stacked.sum(axis=0) / len(maps)
-
-
-def _fused_test_probs(models: Sequence[Model], test_set: Sequence[Sample], size: int):
-    resized = [resize_for_train(s, size) for s in test_set]
-    images = np.stack([s.image for s in resized])
-    return fuse_probs([predict_batch(m, images) for m in models])
+    total = np.zeros(shape, np.float64)
+    dev = np.empty_like(total)
+    for m in maps[1:]:
+        np.subtract(m, maps[0], out=dev, dtype=np.float64)
+        total += dev
+    total /= len(maps)
+    total += maps[0]
+    return total
 
 
 def evaluate_models(
@@ -158,7 +167,8 @@ def evaluate_models(
     test_set = list(test_set)
     if not test_set:
         raise ValueError("test set is empty")
-    fused = _fused_test_probs(models, test_set, input_size)
+    images = np.stack([resize_for_train(s, input_size).image for s in test_set])
+    fused = fuse_probs([predict_batch(m, images) for m in models])
     pairs = []
     for i, s in enumerate(test_set):
         pred = resize_pred_back(fused[i, 1], s.orig_size)
@@ -240,4 +250,4 @@ def load_ensemble(directory, spec: EnsembleSpec) -> Ensemble:
             if got != want:
                 raise ValueError(f"{member}: config {f.name} is {got!r}, spec has {want!r}")
         members.append(model)
-    return Ensemble(members=members, spec=spec, member_seeds=seeds)
+    return Ensemble(members=members, spec=spec)

@@ -22,13 +22,18 @@ encoder's resolution. The forward and backward passes, the site count and
 channels, parameter init and checkpoint validation all walk the table.
 
 ``predict_batch`` runs ``forward`` over consecutive blocks of
-``_PREDICT_BLOCK`` (8, the training batch size) images and writes each
-block's probabilities into one preallocated output. Every op of the forward
-pass works per image or per pixel (the conv's batched matmul is one GEMM of
-the same shape per image), so the result is bit-identical to one pass over
-the whole batch; blocking only bounds the intermediates. At the default
-config, numpy's traced peak while one member predicts 64 images is about
-13 MB (2 MB of it the output) instead of 91 MB in one pass.
+``_PREDICT_BLOCK`` (4) images and writes each block's probabilities into one
+preallocated output. Every op of the forward pass works per image or per
+pixel (the conv's batched matmul is one GEMM of the same shape per image),
+so the result is bit-identical to one pass over the whole batch; blocking
+only bounds the intermediates. At the default config, numpy's traced peak
+while one member predicts 64 images is about 7.7 MB (2 MB of it the output)
+instead of 91 MB in one pass. A block of 4 keeps a block's working set
+(about 5 MB) below the heap-trim threshold that glibc's malloc adapts to the
+largest array freed so far, so the next block reuses the pages one block
+frees. With blocks of 8 (about 10 MB), unless a larger array had been freed
+before, those pages went back to the kernel and were faulted in again for
+every block.
 
 Gradients are exchanged as a "GradMap": a plain dict from parameter name
 ("stem.w", "act0.params", ...) to an array of the parameter's shape.
@@ -56,7 +61,7 @@ CHECKPOINT_VERSION = 1
 ASSIGNMENT_MODES = ("act", "sto", "relu")
 
 _UPSAMPLE = 4  # decoder upsampling factor
-_PREDICT_BLOCK = 8  # images per forward pass in predict_batch
+_PREDICT_BLOCK = 4  # images per forward pass in predict_batch
 
 Layer = tuple[str, ops.ConvSpec]
 
@@ -283,13 +288,6 @@ def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
     for i in range(0, n, _PREDICT_BLOCK):
         probs[i : i + _PREDICT_BLOCK] = forward(model, images[i : i + _PREDICT_BLOCK])[0]
     return probs
-
-
-def predict(model: Model, image: np.ndarray) -> np.ndarray:
-    """Probability map (2, S, S) for a single (3, S, S) image in [0, 1]."""
-    if image.ndim != 3:
-        raise ValueError(f"expected (3, h, w) image, got shape {image.shape}")
-    return predict_batch(model, image[None])[0]
 
 
 def save_model(path, model: Model) -> None:

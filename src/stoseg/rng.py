@@ -28,11 +28,6 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
-def splitmix64(x: int) -> int:
-    """First output of the stream seeded with ``x``."""
-    return mix64((x + GOLDEN) & MASK64)
-
-
 def derive_seed(base: int, *tags: int) -> int:
     """Fold integer tags into ``base`` to obtain a decorrelated child seed.
 

@@ -1,8 +1,10 @@
 import re
 
+import numpy as np
 import pytest
 
-from stoseg import cli, ensemble
+from stoseg import cli, ensemble, network
+from stoseg.activations import ActivationKind
 from stoseg.metrics import CSV_COLUMNS
 
 SEED = 3
@@ -59,6 +61,44 @@ def test_subcommands_end_to_end(tmp_path):
     assert row == f"{cfg['name']}_sto," + ",".join(f"{v:.6f}" for v in report.csv_values())
 
 
+def npz_arrays(path):
+    with np.load(path) as z:
+        return {k: z[k] for k in z.files}
+
+
+class TestTrainIsAnEnsembleMember:
+    @pytest.fixture
+    def config(self, tmp_path):
+        """``tiny_config`` with its dataset written; tests append keys to it."""
+        path = tiny_config(tmp_path)
+        assert cli.main(["synth", "--config", str(path), "--out", str(tmp_path / "synth")]) == 0
+        return path
+
+    def run(self, sub, config, out):
+        assert cli.main([sub, "--config", str(config), "--out", str(out)]) == 0, sub
+
+    def test_sto_model_is_ensemble_member_0(self, config, tmp_path):
+        with config.open("a") as f:
+            f.write("model.activation=sto\n")
+        self.run("train", config, tmp_path / "train")
+        self.run("ensemble", config, tmp_path / "ensemble")
+        model = npz_arrays(tmp_path / "train" / "model.npz")
+        member = npz_arrays(tmp_path / "ensemble" / "ensemble" / "member_000.npz")
+        assert model.keys() == member.keys() and "__meta__" in model
+        for key, value in model.items():
+            assert value.dtype == member[key].dtype, key
+            np.testing.assert_array_equal(value, member[key], err_msg=key)
+
+    def test_kind_name_sets_every_site(self, config, tmp_path):
+        # train reads neither ensemble.mode nor ensemble.size, so invalid
+        # values of both are no error
+        with config.open("a") as f:
+            f.write("model.activation=elu\nensemble.mode=mixed\nensemble.size=0\n")
+        self.run("train", config, tmp_path / "train")
+        model = network.load_model(tmp_path / "train" / "model.npz")
+        assert model.assignment == (ActivationKind.ELU,) * model.config.site_count
+
+
 def write_config(tmp_path, *lines):
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(lines) + "\n")
@@ -109,3 +149,10 @@ class TestMainErrors:
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model.activation must be")
+
+    def test_parallel_below_one_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, "data.synth_count=4", "data.synth_size=16", "split.train=2",
+                            "split.test=2", "net.input_size=16", "ensemble.size=2")
+        args = ["ensemble", "--config", path, "--out", str(tmp_path / "out"), "--parallel", "0"]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == "error: parallel must be >= 1, got 0\n"

@@ -1,5 +1,7 @@
 import json
 import shutil
+import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +59,12 @@ class TestMemberSeeds:
         seeds = ensemble.member_seeds(0, 100)
         assert len(set(seeds)) == 100
 
+    def test_ensemble_reads_them_from_its_spec(self):
+        spec = tiny_spec(size=3, master_seed=41)
+        m = network.build_model(spec.network, (ActivationKind.RELU,) * spec.network.site_count, 1)
+        ens = ensemble.Ensemble(members=[m, m, m], spec=spec)
+        assert ens.member_seeds == ensemble.member_seeds(41, 3)
+
 
 class TestFuseProbs:
     def test_two_map_mean(self):
@@ -78,6 +86,22 @@ class TestFuseProbs:
         f2 = ensemble.fuse_probs(maps[::-1])
         np.testing.assert_allclose(f1, f2, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_stacked_float64_sum(self, dtype, n):
+        # the stacked-copy form fuse_probs replaced, summed over the stack axis
+        # in member order; values and sign bits must match it
+        rng = SplitMix64(n)
+        maps = [rng.uniform_array(2 * 3 * 8).reshape(2, 3, 8).astype(dtype) for _ in range(n)]
+        maps[0][0, 0, :2] = [-0.0, 0.0]
+        maps[-1][0, 0, :3] = [0.0, -0.0, -0.0]
+        m0 = maps[0].astype(np.float64)
+        want = m0 + (np.stack(maps).astype(np.float64) - m0).sum(axis=0) / n
+        got = ensemble.fuse_probs(maps)
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
     def test_keeps_per_pixel_normalization(self):
         rng = SplitMix64(3)
         maps = []
@@ -94,6 +118,20 @@ class TestFuseProbs:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ensemble.fuse_probs([])
+
+    def test_no_float64_copy_per_member(self):
+        # four float32 maps of 64 images at 64x64; the float64 total and one
+        # float64 deviation are the only full-size temporaries
+        rng = SplitMix64(3)
+        maps = [rng.uniform_array(64 * 2 * 64 * 64).reshape(64, 2, 64, 64).astype(np.float32)
+                for _ in range(4)]
+        tracemalloc.start()
+        try:
+            fused = ensemble.fuse_probs(maps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * fused.nbytes
 
 
 class TestTrainEnsemble:
@@ -133,6 +171,41 @@ class TestTrainEnsemble:
         with pytest.raises(ValueError, match="empty"):
             ensemble.train_ensemble(tiny_spec(), [])
 
+    def test_parallel_below_one_rejected(self, tiny_data):
+        train, _ = tiny_data
+        with pytest.raises(ValueError, match="parallel must be >= 1, got 0"):
+            ensemble.train_ensemble(tiny_spec(), train, parallel=0)
+
+    @pytest.mark.parametrize("parallel, size, pools", [
+        (64, 2, [2]), (2, 3, [2]), (4, 1, []), (1, 2, []),
+    ])
+    def test_pool_has_no_more_workers_than_members(self, tiny_data, monkeypatch,
+                                                   parallel, size, pools):
+        requested = []
+
+        class InProcessPool:
+            """Records the worker count and runs each job at submit."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
+        train, _ = tiny_data
+        ens = ensemble.train_ensemble(tiny_spec(size=size, epochs=1), train, parallel=parallel)
+        assert requested == pools
+        assert len(ens.members) == size
+
     def test_failures_carry_member_index(self, tiny_data):
         train, _ = tiny_data
         bad = [data.Sample(s.ident, s.image[:, :8, :8], s.mask[:8, :8], (8, 8))
@@ -153,8 +226,7 @@ class TestEvaluate:
         train, test = tiny_data
         ens = ensemble.train_ensemble(tiny_spec(size=1), train)
         m = ens.members[0]
-        copies = ensemble.Ensemble(members=[m, m, m], spec=tiny_spec(size=3),
-                                   member_seeds=[1, 2, 3])
+        copies = ensemble.Ensemble(members=[m, m, m], spec=tiny_spec(size=3))
         assert ensemble.ensemble_evaluate(copies, test) == ensemble.evaluate_model(m, test)
 
     def test_empty_test_set(self, tiny_data):

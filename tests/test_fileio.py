@@ -66,7 +66,7 @@ def _report():
 WRITERS = {
     "model.npz": lambda d: network.save_model(d / "model.npz", _model()),
     "manifest.json": lambda d: ensemble.save_ensemble(
-        d, ensemble.Ensemble([_model(), _model()], tiny_spec(size=2), [1, 2])),
+        d, ensemble.Ensemble([_model(), _model()], tiny_spec(size=2))),
     "config.resolved": lambda d: cli.write_resolved({"seed": "1"}, d),
     "results.csv": lambda d: cli.write_results_csv(d / "results.csv", [("run", _report())]),
     "loss_history.csv": lambda d: cli.write_loss_history(d / "loss_history.csv", [0.5, 0.25]),

@@ -119,7 +119,7 @@ class TestPredict:
         cfg = network.NetworkConfig()
         m = network.build_model(cfg, relu_assignment(cfg), 11)
         img = SplitMix64(0).uniform_array(3 * 64 * 64).reshape(3, 64, 64).astype(np.float32)
-        probs = network.predict(m, img)
+        probs = network.predict_batch(m, img[None])[0]
         assert probs.shape == (2, 64, 64)
         np.testing.assert_allclose(probs.sum(axis=0), 1.0, atol=1e-6)
 
@@ -128,7 +128,7 @@ class TestPredict:
         asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 5)
         m = network.build_model(cfg, asn, 5)
         img = SplitMix64(6).uniform_array(3 * 16 * 16).reshape(3, 16, 16).astype(np.float32)
-        probs = network.predict(m, img)
+        probs = network.predict_batch(m, img[None])[0]
         assert probs.min() > 0.0
         assert probs.max() < 1.0
 
@@ -136,13 +136,14 @@ class TestPredict:
         cfg = small_config()
         m = network.build_model(cfg, relu_assignment(cfg), 9)
         img = SplitMix64(1).uniform_array(3 * 16 * 16).reshape(3, 16, 16).astype(np.float32)
-        np.testing.assert_array_equal(network.predict(m, img), network.predict(m, img))
+        np.testing.assert_array_equal(network.predict_batch(m, img[None])[0],
+                                      network.predict_batch(m, img[None])[0])
 
     def test_wrong_spatial_size_rejected(self):
         cfg = small_config()
         m = network.build_model(cfg, relu_assignment(cfg), 9)
         with pytest.raises(ValueError, match="input_size"):
-            network.predict(m, np.zeros((3, 32, 32), dtype=np.float32))
+            network.predict_batch(m, np.zeros((3, 32, 32), dtype=np.float32)[None])
 
     def test_wrong_channel_count_rejected(self):
         cfg = small_config()
@@ -382,7 +383,8 @@ class TestCheckpoint:
         network.save_model(tmp_path / "m.npz", m)
         m2 = network.load_model(tmp_path / "m.npz")
         img = SplitMix64(3).uniform_array(3 * 16 * 16).reshape(3, 16, 16).astype(np.float32)
-        np.testing.assert_array_equal(network.predict(m, img), network.predict(m2, img))
+        np.testing.assert_array_equal(network.predict_batch(m, img[None])[0],
+                                      network.predict_batch(m2, img[None])[0])
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.npz"

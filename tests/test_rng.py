@@ -1,6 +1,6 @@
 import numpy as np
 
-from stoseg.rng import GOLDEN, MASK64, SplitMix64, derive_seed, mix64, splitmix64
+from stoseg.rng import GOLDEN, MASK64, SplitMix64, derive_seed, mix64
 
 
 def reference_stream(seed, n):
@@ -74,5 +74,5 @@ class TestDeriveSeed:
         assert len(seeds) == 100
         assert derive_seed(0, 1, 2) != derive_seed(0, 2, 1)
 
-    def test_splitmix64_helper_is_first_output(self):
-        assert splitmix64(0) == 0xE220A8397B1DCDAF
+    def test_first_output_known_answer(self):
+        assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
