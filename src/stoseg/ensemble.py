@@ -236,6 +236,8 @@ def load_ensemble(directory, spec: EnsembleSpec) -> Ensemble:
         if manifest.get(key) != want:
             raise ValueError(f"{path}: {key} is {manifest.get(key)!r}, spec has {want!r}")
     seeds = manifest.get("member_seeds", [])
+    if not isinstance(seeds, list):
+        raise ValueError(f"{path}: member_seeds is {seeds!r}, not a list")
     if len(seeds) != spec.size:
         raise ValueError(f"{path}: member_seeds has {len(seeds)} entries, spec size is {spec.size}")
     want_seeds = member_seeds(spec.master_seed, spec.size)

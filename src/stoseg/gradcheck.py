@@ -33,7 +33,10 @@ def gradcheck(
     gives one gradient array per input. The check projects the output onto
     a fixed random cotangent ``u`` and differentiates ``sum(u * output)``
     numerically, scalar by scalar, in float64. Returns the maximum relative
-    error; callers decide the pass threshold (1e-4 by convention).
+    error; callers decide the pass threshold (1e-4 by convention). Inputs
+    may have any strides: they are perturbed in place, one element at a time
+    in C order, and each is restored before the next, also when ``fn``
+    raises, so ``fn`` may read the same arrays from elsewhere.
     """
     inputs = [np.asarray(v) for v in inputs]
     for k, v in enumerate(inputs):
@@ -63,18 +66,17 @@ def gradcheck(
         return float(np.sum(u * y))
 
     max_err = 0.0
-    for k, x in enumerate(inputs):
-        flat = x.reshape(-1)
-        ana = analytic[k].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = objective()
-            flat[i] = orig - h
-            f_minus = objective()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            err = float(relative_error(np.float64(ana[i]), np.float64(numeric)))
-            if err > max_err:
-                max_err = err
+    for x, ana in zip(inputs, analytic):
+        numeric = np.empty(x.shape)
+        for i in np.ndindex(x.shape):
+            orig = x[i]
+            try:
+                x[i] = orig + h
+                f_plus = objective()
+                x[i] = orig - h
+                f_minus = objective()
+            finally:
+                x[i] = orig
+            numeric[i] = (f_plus - f_minus) / (2.0 * h)
+        max_err = max(max_err, float(relative_error(ana, numeric).max(initial=0.0)))
     return max_err

@@ -326,47 +326,53 @@ def _expected_arrays(config: NetworkConfig, assignment) -> dict[str, tuple[int, 
 def load_model(path) -> Model:
     """Read a checkpoint, rejecting an unreadable file or any missing, extra
     or mis-shaped array with a ``ValueError`` that names the file and the key."""
-    try:
-        data = np.load(path, allow_pickle=False)
-    except (EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: unreadable checkpoint file: {exc!r}") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValueError(f"{path}: unreadable checkpoint file: a .npy array, not an .npz archive")
-    try:
-        with data:
-            if "__meta__" not in data.files:
-                raise ValueError(f"{path}: not a model checkpoint (no __meta__ key)")
-            meta = json.loads(str(data["__meta__"]))
-            if meta.get("format") != CHECKPOINT_FORMAT:
-                raise ValueError(f"{path}: not a model checkpoint")
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-            try:
-                cfg_d = dict(meta["config"])
-                cfg_d["aspp_dilations"] = tuple(cfg_d["aspp_dilations"])
-                config = NetworkConfig(**cfg_d)
-                assignment = tuple(ActivationKind(v) for v in meta["assignment"])
-                dtype = np.dtype(meta["dtype"])
-                init_seed = int(meta["init_seed"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
-            if len(assignment) != config.site_count:
-                raise ValueError(f"{path}: assignment has {len(assignment)} sites, "
-                                 f"config has {config.site_count}")
-            expected = _expected_arrays(config, assignment)
-            missing = sorted(set(expected) - set(data.files))
-            unexpected = sorted(set(data.files) - set(expected) - {"__meta__"})
-            if missing or unexpected:
-                raise ValueError(f"{path}: missing arrays {missing}, unexpected arrays {unexpected}")
-            arrays = {}
-            for key, shape in expected.items():
-                arr = data[key]
-                if arr.shape != shape or arr.dtype != dtype:
-                    raise ValueError(f"{path}: array {key!r} is {arr.dtype}{arr.shape}, "
-                                     f"expected {dtype}{shape}")
-                arrays[key] = arr
-    except (EOFError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{path}: unreadable checkpoint file: {exc!r}") from exc
+    # np.load drops its own handle to a zip-headed file whose body is not a
+    # zip archive before NpzFile raises, which leaks it; this one is closed
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+        except (EOFError, ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: unreadable checkpoint file: {exc!r}") from exc
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError(f"{path}: unreadable checkpoint file: "
+                             "a .npy array, not an .npz archive")
+        try:
+            with data:
+                if "__meta__" not in data.files:
+                    raise ValueError(f"{path}: not a model checkpoint (no __meta__ key)")
+                meta = json.loads(str(data["__meta__"]))
+                if meta.get("format") != CHECKPOINT_FORMAT:
+                    raise ValueError(f"{path}: not a model checkpoint")
+                if meta.get("version") != CHECKPOINT_VERSION:
+                    raise ValueError(f"{path}: unsupported checkpoint version "
+                                     f"{meta.get('version')}")
+                try:
+                    cfg_d = dict(meta["config"])
+                    cfg_d["aspp_dilations"] = tuple(cfg_d["aspp_dilations"])
+                    config = NetworkConfig(**cfg_d)
+                    assignment = tuple(ActivationKind(v) for v in meta["assignment"])
+                    dtype = np.dtype(meta["dtype"])
+                    init_seed = int(meta["init_seed"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: bad checkpoint metadata: {exc!r}") from exc
+                if len(assignment) != config.site_count:
+                    raise ValueError(f"{path}: assignment has {len(assignment)} sites, "
+                                     f"config has {config.site_count}")
+                expected = _expected_arrays(config, assignment)
+                missing = sorted(set(expected) - set(data.files))
+                unexpected = sorted(set(data.files) - set(expected) - {"__meta__"})
+                if missing or unexpected:
+                    raise ValueError(f"{path}: missing arrays {missing}, "
+                                     f"unexpected arrays {unexpected}")
+                arrays = {}
+                for key, shape in expected.items():
+                    arr = data[key]
+                    if arr.shape != shape or arr.dtype != dtype:
+                        raise ValueError(f"{path}: array {key!r} is {arr.dtype}{arr.shape}, "
+                                         f"expected {dtype}{shape}")
+                    arrays[key] = arr
+        except (EOFError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"{path}: unreadable checkpoint file: {exc!r}") from exc
     params = {k[len("param:"):]: v for k, v in arrays.items() if k.startswith("param:")}
     acts = [ActivationState(kind=kind, channels=ch, params=arrays[f"act:{i}"])
             for i, (kind, ch) in enumerate(zip(assignment, config.site_channels()))]

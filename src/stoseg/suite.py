@@ -4,7 +4,9 @@ differences, plus the end-to-end reduced network. Used by the CLI
 
 Every check has one shape: it draws float64 inputs from its seed, wraps the
 piece as ``fn(*inputs) -> (y, vjp)`` and returns ``gradcheck``'s largest
-relative error. ``run_suite`` is one loop over a table of ``(name, check,
+relative error. The inputs are the live arrays the piece reads, parameters
+included, which ``gradcheck`` perturbs and restores in place; no check
+copies them. ``run_suite`` is one loop over a table of ``(name, check,
 tolerance, seed count)`` rows. The table is built on each call, not at
 import, so it reads the module's functions when the suite runs: a tracer
 that swaps them for timing wrappers (``perfbench/run.py --trace 1``) would
@@ -13,7 +15,7 @@ otherwise be bypassed by a table holding the originals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -88,10 +90,9 @@ def check_activation(kind: ActivationKind, seed: int) -> float:
     _noise_params(state, rng)
     x = sample_away_from_kinks(rng, (2, channels, 3, 3), kink_points(state), 10.0 * DEFAULT_STEP)
 
-    def fn(xv, pv):
-        st = replace(state, params=pv)
-        return act_forward(xv, st), lambda u: act_backward(xv, st, u)
-    return gradcheck(fn, [x, state.params.copy()], cotangent_seed=seed)
+    def fn(xv, _params):  # the parameters are state.params itself
+        return act_forward(xv, state), lambda u: act_backward(xv, state, u)
+    return gradcheck(fn, [x, state.params], cotangent_seed=seed)
 
 
 def check_conv(seed: int) -> float:
@@ -155,20 +156,6 @@ def check_weighted_ce(seed: int) -> float:
     return _check_loss(lambda p, t: weighted_ce(p, t, (0.5, 2.0)), seed)
 
 
-def _flatten(params: dict[str, np.ndarray]):
-    keys = sorted(params)
-    vec = np.concatenate([params[k].reshape(-1) for k in keys])
-    return keys, vec.astype(np.float64)
-
-
-def _unflatten_into(params: dict[str, np.ndarray], keys, vec) -> None:
-    at = 0
-    for k in keys:
-        p = params[k]
-        p[...] = vec[at : at + p.size].reshape(p.shape)
-        at += p.size
-
-
 def _min_kink_distance(model, cache) -> float:
     """Smallest distance from any activation input to that site's kink set."""
     dmin = np.inf
@@ -216,24 +203,19 @@ def check_network(seed: int) -> float:
         raise RuntimeError(f"could not find a kink-free evaluation point for seed {seed}")
 
     params = model.parameters()
-    keys, vec0 = _flatten(params)
+    keys = sorted(params)
 
-    def fn(vec):
-        _unflatten_into(params, keys, vec)
+    def fn(*_params):  # the model reads the same arrays
         probs, cache = network.forward(model, image)
         loss, dprobs = dice_loss(probs, target)
 
         def vjp(u):
             grads = network.backward(model, cache, float(u) * dprobs)
-            _, gvec = _flatten(grads)
-            return [gvec]
+            return [grads[k] for k in keys]
 
         return np.float64(loss), vjp
 
-    try:
-        return gradcheck(fn, [vec0.copy()], h=E2E_STEP, cotangent_seed=seed)
-    finally:
-        _unflatten_into(params, keys, vec0)
+    return gradcheck(fn, [params[k] for k in keys], h=E2E_STEP, cotangent_seed=seed)
 
 
 def run_suite(seeds: int = 20, e2e_seeds: int = 20) -> list[CheckResult]:

@@ -286,9 +286,12 @@ def edited_manifest(saved, tmp_path, edit):
     return path
 
 
-def reversed_seeds(text):
-    manifest = json.loads(text)
-    return json.dumps({**manifest, "member_seeds": manifest["member_seeds"][::-1]})
+def replaced_seeds(value):
+    """An ``edited_manifest`` edit that sets member_seeds to ``value(seeds)``."""
+    def edit(text):
+        manifest = json.loads(text)
+        return json.dumps({**manifest, "member_seeds": value(manifest["member_seeds"])})
+    return edit
 
 
 class TestLoadEnsembleMismatch:
@@ -319,7 +322,11 @@ class TestLoadEnsembleMismatch:
         pytest.param(lambda text: text[: len(text) // 2], "unreadable manifest", id="not_json"),
         pytest.param(lambda text: text.replace('"version": 1', '"version": 99'),
                      "unsupported manifest version 99", id="version_99"),
-        pytest.param(reversed_seeds, "member_seeds are", id="seed_values"),
+        pytest.param(replaced_seeds(lambda s: s[::-1]), "member_seeds are", id="seed_values"),
+        pytest.param(replaced_seeds(lambda s: 5), "member_seeds is 5, not a list",
+                     id="seeds_int"),
+        pytest.param(replaced_seeds(lambda s: None), "member_seeds is None, not a list",
+                     id="seeds_null"),
     ])
     def test_edited_manifest(self, saved_relu, tmp_path, edit, message):
         path = edited_manifest(saved_relu, tmp_path, edit)
