@@ -397,8 +397,10 @@ def _segment_index(table: _Table, x: np.ndarray) -> np.ndarray:
 
 def _segment_coefs(table: _Table, st: ActivationState, dtype):
     """Per-(channel, segment) slopes and intercepts, flat and channel-major."""
-    coef = np.vstack([np.ones((1, st.channels)), st.params]).T
-    return (coef @ table.slope).astype(dtype).ravel(), (coef @ table.icpt).astype(dtype).ravel()
+    coef = np.empty((1 + len(st.params), st.channels))  # a row of ones, then the parameters
+    coef[0] = 1.0
+    coef[1:] = st.params
+    return (coef.T @ table.slope).astype(dtype).ravel(), (coef.T @ table.icpt).astype(dtype).ravel()
 
 
 def _fwd_table(table, x, st):

@@ -17,7 +17,7 @@ from .ops import bilinear_resize, nearest_resize
 from .pnm import read_pnm, write_pgm, write_ppm
 from .rng import SplitMix64, derive_seed
 
-MASK_THRESHOLD = 128  # 8-bit mask values >= this are foreground
+MASK_THRESHOLD = 0.5  # mask values above this fraction of the file's maxval are foreground
 FG_FRACTION_RANGE = (0.05, 0.4)
 
 _SYNTH_TAG = 0x5B0B
@@ -135,7 +135,8 @@ def load_dir(images_dir, masks_dir) -> Dataset:
     """Load image/mask pairs by matching filename stems.
 
     Images must be PPM (P6); masks PGM (P5 or P2). Images are scaled to
-    [0, 1]; masks binarize at >= 128.
+    [0, 1]. A mask value is foreground when it exceeds half its file's
+    maxval: at maxval 255 that is >= 128, and at maxval 1 it is the value 1.
     """
     images_dir = Path(images_dir)
     masks_dir = Path(masks_dir)
@@ -151,7 +152,7 @@ def load_dir(images_dir, masks_dir) -> Dataset:
         rgb, maxval = read_pnm(img_path)
         if rgb.ndim != 3:
             raise ValueError(f"{img_path}: expected a color (P6) image")
-        gray, _ = read_pnm(mask_path)
+        gray, mask_maxval = read_pnm(mask_path)
         if gray.ndim != 2:
             raise ValueError(f"{mask_path}: expected a grayscale (P5/P2) mask")
         if gray.shape != rgb.shape[:2]:
@@ -159,7 +160,7 @@ def load_dir(images_dir, masks_dir) -> Dataset:
                 f"{mask_path}: mask size {gray.shape} != image size {rgb.shape[:2]}"
             )
         image = (rgb.astype(np.float32) / maxval).transpose(2, 0, 1)
-        mask = (gray >= MASK_THRESHOLD).astype(np.uint8)
+        mask = (gray > MASK_THRESHOLD * mask_maxval).astype(np.uint8)
         samples.append(Sample(ident=img_path.stem, image=image, mask=mask,
                               orig_size=gray.shape))
     extra = mask_stems - {p.stem for p in image_files}

@@ -224,18 +224,36 @@ def _check_images(cfg: NetworkConfig, images: np.ndarray) -> None:
         )
 
 
-def forward(model: Model, images: np.ndarray):
+def forward(model: Model, images: np.ndarray, *, resume=None):
     """Batched forward pass: (n, 3, S, S) -> probabilities (n, 2, S, S).
 
     Returns ``(probs, cache)`` where the cache holds the intermediates the
     backward pass needs: ``cache["pre"]`` lists the inputs of the activation
     sites in site order, and ``cache["xs"][k]`` is the input of stage ``k``
     (the image for the first stage; the last entry is the encoder output).
+
+    ``resume=(cache, k)`` reuses the prefix of ``cache``, the cache of an
+    earlier forward of these same ``images``: the inputs of stages 0..k and
+    the site inputs of the stages before k. Only stages k.. and the decoder
+    run (k = ``len(model._stages)`` runs the decoder alone), and the result
+    equals a full forward bit for bit. The prefix is valid only while no
+    parameter of the stages before k has changed since that earlier
+    forward; this is not checked. The given cache is left unchanged.
     """
     _check_images(model.config, images)
+    stages = model._stages
     xs = [images]
     pre: list[np.ndarray] = []
-    for stage in model._stages:
+    if resume is not None:
+        cache, start = resume
+        if cache["xs"][0] is not images:
+            raise ValueError("resume cache comes from a forward of another images array")
+        if not 0 <= start <= len(stages):
+            raise ValueError(f"resume stage {start} is outside 0..{len(stages)}")
+        xs = cache["xs"][: start + 1]
+        pre = cache["pre"][: sum(len(stage) for stage in stages[:start])]
+        stages = stages[start:]
+    for stage in stages:
         outs = []
         for layer in stage:
             pre.append(_conv(model, layer, xs[-1]))

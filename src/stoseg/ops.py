@@ -12,6 +12,7 @@ most one more copy, and the bias is added into the GEMM's output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,17 +159,22 @@ def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: C
     return np.ascontiguousarray(dxp[:, :, p : p + h, p : p + w]), dweight, dbias
 
 
+@functools.lru_cache(maxsize=256)
 def _axis_map(n_in: int, n_out: int):
     """Half-pixel source mapping with edge clamp for one axis.
 
     Returns (idx0, idx1, frac) such that out[k] = in[idx0[k]] +
-    frac[k] * (in[idx1[k]] - in[idx0[k]]).
+    frac[k] * (in[idx1[k]] - in[idx0[k]]). Memoised per (n_in, n_out), so
+    the arrays are shared by every caller and read-only; the bound keeps a
+    dataset of many original sizes from growing the memo without limit.
     """
     src = (np.arange(n_out, dtype=np.float64) + 0.5) * (n_in / n_out) - 0.5
     src = np.clip(src, 0.0, n_in - 1.0)
     idx0 = np.floor(src).astype(np.intp)
     idx1 = np.minimum(idx0 + 1, n_in - 1)
     frac = src - idx0
+    for a in (idx0, idx1, frac):
+        a.flags.writeable = False
     return idx0, idx1, frac
 
 

@@ -109,6 +109,17 @@ class TestLoadDir:
         ds = data.load_dir(tmp_path / "images", tmp_path / "masks")
         np.testing.assert_array_equal(ds[0].mask, [[0, 1]])
 
+    @pytest.mark.parametrize("mask_file", [b"P5\n3 1\n1\n\x00\x01\x01", b"P2\n3 1\n1\n0 1 1\n"],
+                             ids=["P5", "P2"])
+    def test_mask_threshold_follows_maxval(self, tmp_path, mask_file):
+        """A 0/1 mask stored with maxval 1 keeps its foreground."""
+        (tmp_path / "images").mkdir()
+        (tmp_path / "masks").mkdir()
+        pnm.write_ppm(tmp_path / "images" / "x.ppm", np.zeros((1, 3, 3), dtype=np.uint8))
+        (tmp_path / "masks" / "x.pgm").write_bytes(mask_file)
+        ds = data.load_dir(tmp_path / "images", tmp_path / "masks")
+        np.testing.assert_array_equal(ds[0].mask, [[0, 1, 1]])
+
     def test_missing_mask_named(self, tmp_path):
         (tmp_path / "images").mkdir()
         (tmp_path / "masks").mkdir()

@@ -218,6 +218,37 @@ class TestPredictBlocks:
                 fn(m, empty)
 
 
+class TestResume:
+    """forward(..., resume=(cache, k)) reruns stages k.. and the decoder."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_full_forward_at_every_stage(self, dtype):
+        img = SplitMix64(5).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16).astype(dtype)
+        for m in TestPredictBlocks.pool_models(dtype):
+            probs, cache = network.forward(m, img)
+            lengths = {key: len(cache[key]) for key in ("xs", "pre")}
+            for k in range(len(m._stages) + 1):
+                got, got_cache = network.forward(m, img, resume=(cache, k))
+                assert got.dtype == dtype and np.array_equal(got, probs)
+                assert got_cache["probs"] is got
+                for key in ("xs", "pre"):
+                    assert got_cache[key] is not cache[key]
+                    assert len(got_cache[key]) == lengths[key]
+                    for a, b in zip(got_cache[key], cache[key], strict=True):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert {key: len(cache[key]) for key in ("xs", "pre")} == lengths
+
+    def test_rejects_foreign_images_and_stages_out_of_range(self):
+        m = noised_model(small_config(), 3)
+        img = SplitMix64(6).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16)
+        _, cache = network.forward(m, img)
+        with pytest.raises(ValueError, match="another images array"):
+            network.forward(m, img.copy(), resume=(cache, 1))
+        for k in (-1, len(m._stages) + 1):
+            with pytest.raises(ValueError, match=f"resume stage {k} is outside 0..5"):
+                network.forward(m, img, resume=(cache, k))
+
+
 class TestDecoder:
     @pytest.mark.parametrize("dilations", [(1, 2, 4), (3,)])
     def test_head_before_upsample_equals_upsample_before_head(self, dilations):

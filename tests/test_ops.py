@@ -362,6 +362,15 @@ class TestSoftmax:
             ops.softmax_channel(np.zeros((1, 1, 2, 2)))
 
 
+class TestAxisMap:
+    def test_memoised_and_read_only(self):
+        maps = ops._axis_map(3, 12)
+        assert all(a is b for a, b in zip(maps, ops._axis_map(3, 12), strict=True))
+        for a in maps:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
 class TestGradients:
     def test_conv2d_gradcheck(self):
         worst = max(suite.check_conv(s) for s in range(20))
