@@ -90,11 +90,24 @@ def build_member(spec: EnsembleSpec, index: int, seed: int) -> Model:
     return build_model(spec.network, assignment, derive_seed(seed, _INIT_TAG))
 
 
-def _train_member(args) -> Model:
-    spec, samples, index, seed = args
+def _train_member(spec: EnsembleSpec, samples: Sequence[Sample], index: int, seed: int) -> Model:
     model = build_member(spec, index, seed)
     model, _ = train_model(model, samples, spec.train)
     return model
+
+
+# A pool worker's training set, sent once per worker by the pool initializer.
+_worker_samples: list[Sample] = []
+
+
+def _set_worker_samples(samples: list[Sample]) -> None:
+    global _worker_samples
+    _worker_samples = samples
+
+
+def _train_worker_member(job) -> Model:
+    spec, index, seed = job
+    return _train_member(spec, _worker_samples, index, seed)
 
 
 def train_ensemble(
@@ -105,6 +118,8 @@ def train_ensemble(
     Each member's activation assignment and weight init derive only from
     its own seed, so results are identical whether members run
     sequentially or in a pool of ``min(parallel, spec.size)`` processes.
+    A pool receives the samples once per worker, through its initializer;
+    a member's job is only ``(spec, index, seed)``.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
@@ -112,21 +127,22 @@ def train_ensemble(
     if not samples:
         raise ValueError("training set is empty")
     seeds = member_seeds(spec.master_seed, spec.size)
-    jobs = [(spec, samples, i, seeds[i]) for i in range(spec.size)]
     models: list[Model] = []
     workers = min(parallel, spec.size)
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_train_member, job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_samples,
+                                 initargs=(samples,)) as pool:
+            futures = [pool.submit(_train_worker_member, (spec, i, seeds[i]))
+                       for i in range(spec.size)]
             for i, fut in enumerate(futures):
                 try:
                     models.append(fut.result())
                 except Exception as exc:
                     raise RuntimeError(f"training member {i} failed: {exc}") from exc
     else:
-        for i, job in enumerate(jobs):
+        for i in range(spec.size):
             try:
-                models.append(_train_member(job))
+                models.append(_train_member(spec, samples, i, seeds[i]))
             except Exception as exc:
                 raise RuntimeError(f"training member {i} failed: {exc}") from exc
     return Ensemble(members=models, spec=spec)

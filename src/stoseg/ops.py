@@ -8,6 +8,15 @@ im2col + GEMM over a read-only strided view of the padded input's patches:
 no index arrays and no gather. A padded input is copied once into a zeroed
 buffer (an unpadded one is viewed in place), the view is flattened with at
 most one more copy, and the bias is added into the GEMM's output.
+
+The convolution's backward pass builds no im2col columns. It copies the
+padded input once into its stride phases, each phase's rows extended to a
+common width, so that every kernel tap reads one contiguous run of a phase;
+each tap is then one batched GEMM for dweight and one for dx, and dx is
+accumulated by contiguous adds into a phase-split buffer. dx and dbias are
+bit-identical to the im2col backward; dweight sums over a longer run that
+holds exact zeros, so it differs from it only in rounding (up to about
+5e-7 of its largest entry in float32, 9e-16 in float64).
 """
 
 from __future__ import annotations
@@ -119,44 +128,83 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) 
     return y.reshape(n, spec.out_channels, oh, ow)
 
 
+def _phase_runs(n_in: int, p: int, s: int) -> list[tuple[slice, slice]]:
+    """For each phase a of one axis: the unpadded indices whose padded index
+    ``k + p`` is a mod ``s``, and where they sit along phase a's axis."""
+    runs = []
+    for a in range(s):
+        k0 = (a - p) % s
+        q0 = (k0 + p) // s
+        runs.append((slice(k0, n_in, s), slice(q0, q0 + len(range(k0, n_in, s)))))
+    return runs
+
+
 def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: ConvSpec,
                     need_dx: bool = True):
     """Gradients of conv2d: returns (dx, dweight, dbias).
 
-    dweight multiplies the upstream gradient by the forward pass's columns
-    per image, then sums over the batch in index order. dx scatters the
-    columns of W^T @ grad back onto the padded input one tap at a time.
-    With ``need_dx=False`` (a layer whose input needs no gradient, such as
-    the image) dx is returned as None and neither the columns of W^T @ grad
-    nor the scatter are computed; dweight and dbias are unchanged.
+    The padded input is split into its s*s stride phases, phase (a, b)
+    holding padded rows a::s and columns b::s, in a zeroed
+    (n, c, s*s, hq*wq) buffer with ``hq = ceil((h + 2p)/s) + 1`` and
+    ``wq = ceil((w + 2p)/s)``. The upstream gradient is copied into a zeroed
+    (n, cout, oh, wq) buffer, whose columns past ``ow`` are exact zeros.
+    Tap (i, j) then reads one contiguous run of ``oh*wq`` values of one
+    phase, so each tap is one batched GEMM with no column copy: dweight's
+    tap is ``grad @ run^T`` summed over the batch in index order, and dx's
+    tap is ``W[:, :, i, j]^T @ grad`` into one reused buffer, added to the
+    same run of a phase-split dx that reuses the input's zeroed phase
+    buffer. The spare zero row keeps the last tap's run inside its phase,
+    and the reads past ``ow`` meet zero gradient.
+
+    dx and dbias are bit-identical to scattering im2col columns of
+    ``W^T @ grad`` tap by tap; dweight reduces over oh*wq instead of oh*ow
+    terms and so differs from the im2col GEMM in the last bits. With
+    ``need_dx=False`` (a layer whose input needs no gradient, such as the
+    image) dx is returned as None and its GEMMs are skipped; dweight and
+    dbias are unchanged.
     """
     _check_conv_args(x, weight, spec)
-    n, _, h, w = x.shape
+    n, cin, h, w = x.shape
+    cout = spec.out_channels
     oh, ow = spec.output_hw(h, w)
-    if grad.shape != (n, spec.out_channels, oh, ow):
-        raise ValueError(
-            f"upstream shape {grad.shape} != output shape {(n, spec.out_channels, oh, ow)}"
-        )
+    if grad.shape != (n, cout, oh, ow):
+        raise ValueError(f"upstream shape {grad.shape} != output shape {(n, cout, oh, ow)}")
     p, d, s = spec.padding, spec.dilation, spec.stride
-    cols = _patches(x, spec, oh, ow).reshape(n, -1, oh * ow)
-    g2 = grad.reshape(n, spec.out_channels, oh * ow)
+    rows, cols = _phase_runs(h, p, s), _phase_runs(w, p, s)
+    hq, wq = -(-(h + 2 * p) // s) + 1, -(-(w + 2 * p) // s)
+    run = oh * wq
+
+    xph = np.zeros((n, cin, s, s, hq, wq), x.dtype)
+    for a, (xr, qr) in enumerate(rows):
+        for b, (xc, qc) in enumerate(cols):
+            xph[:, :, a, b, qr, qc] = x[:, :, xr, xc]
+    xph = xph.reshape(n, cin, s * s, hq * wq)
+    gext = np.zeros((n, cout, oh, wq), grad.dtype)
+    gext[..., :ow] = grad
+    gext = gext.reshape(n, cout, run)
+    taps = [(i, j, (i * d % s) * s + j * d % s, (i * d // s) * wq + j * d // s)
+            for i in range(spec.kernel_h) for j in range(spec.kernel_w)]
 
     dbias = grad.sum(axis=(0, 2, 3))
-    dweight = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
+    dweight = np.empty(weight.shape, np.result_type(grad, x))
+    for i, j, ph, off in taps:
+        xrun = xph[:, :, ph, off : off + run].transpose(0, 2, 1)
+        dweight[:, :, i, j] = np.matmul(gext, xrun).sum(axis=0)
     if not need_dx:
         return None, dweight, dbias
 
-    wmat = weight.reshape(spec.out_channels, -1)
-    dcols = np.matmul(wmat.T, g2)
-    dpatch = dcols.reshape(n, spec.in_channels, spec.kernel_h, spec.kernel_w, oh, ow)
-
-    dxp = np.zeros((n, spec.in_channels, h + 2 * p, w + 2 * p), dtype=x.dtype)
-    for i in range(spec.kernel_h):
-        for j in range(spec.kernel_w):
-            dxp[
-                :, :, i * d : i * d + s * (oh - 1) + 1 : s, j * d : j * d + s * (ow - 1) + 1 : s
-            ] += dpatch[:, :, i, j]
-    return np.ascontiguousarray(dxp[:, :, p : p + h, p : p + w]), dweight, dbias
+    buf = np.empty((n, cin, run), np.result_type(weight, grad))
+    dph = xph  # not read again: its pages, already faulted in, hold dx's phases
+    dph.fill(0)
+    for i, j, ph, off in taps:
+        np.matmul(weight[:, :, i, j].T, gext, out=buf)
+        dph[:, :, ph, off : off + run] += buf
+    dph = dph.reshape(n, cin, s, s, hq, wq)
+    dx = np.empty(x.shape, x.dtype)
+    for a, (xr, qr) in enumerate(rows):
+        for b, (xc, qc) in enumerate(cols):
+            dx[:, :, xr, xc] = dph[:, :, a, b, qr, qc]
+    return dx, dweight, dbias
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,4 +1,5 @@
 import json
+import pickle
 import shutil
 import tracemalloc
 from concurrent.futures import Future
@@ -186,8 +187,9 @@ class TestTrainEnsemble:
         class InProcessPool:
             """Records the worker count and runs each job at submit."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 requested.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -205,6 +207,37 @@ class TestTrainEnsemble:
         ens = ensemble.train_ensemble(tiny_spec(size=size, epochs=1), train, parallel=parallel)
         assert requested == pools
         assert len(ens.members) == size
+
+    def test_pool_jobs_do_not_carry_the_samples(self, tiny_data, monkeypatch):
+        """A pool gets the samples once, through its initializer; the pickled
+        size of a member's job does not grow with the training set."""
+        job_sizes, sent = {}, {}
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                (samples,) = initargs
+                sent[len(samples)] = [s.ident for s in samples]
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                job_sizes.setdefault(len(sent) - 1, []).append(len(pickle.dumps((fn, args))))
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+        train, _ = tiny_data
+        for count in (1, len(train)):
+            ensemble.train_ensemble(tiny_spec(size=2, epochs=1), train[:count], parallel=2)
+            assert sent[count] == [s.ident for s in train[:count]]
+        assert len(job_sizes[0]) == 2
+        assert job_sizes[0] == job_sizes[1]
 
     def test_failures_carry_member_index(self, tiny_data):
         train, _ = tiny_data

@@ -326,6 +326,64 @@ class TestParentCheckpoint:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
+def pyramid_config(dilations):
+    return network.NetworkConfig(input_size=8, stem_width=3, down_width=4, aspp_width=3,
+                                 fuse_width=4, aspp_dilations=dilations)
+
+
+def pyramid_problem(dilations):
+    """A noised float64 pyramid at 8x8, a batch of 2 images and a target, and
+    the generator that drew them, for the central-difference checks."""
+    cfg = pyramid_config(dilations)
+    asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 17)
+    m = network.build_model(cfg, asn, 17, dtype=np.float64)
+    rng = SplitMix64(18)
+    for name, b in m.params.items():
+        if name.endswith(".b"):
+            b += (rng.uniform_array(b.size) - 0.5) * 0.1
+    for st in m.acts:
+        suite._noise_params(st, rng)
+    img = rng.uniform_array(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
+    fg = rng.uniform_array(2 * 8 * 8).reshape(2, 8, 8) < 0.4
+    target = np.stack([1.0 - fg, fg * 1.0], axis=1)
+    return m, img, target, rng
+
+
+def central_difference(m, img, target, direction, h=1e-6):
+    """(L(p + h*v) - L(p - h*v)) / 2h of the dice loss along ``direction``
+    (a dict over some of the parameter keys); restores the parameters."""
+    params = m.parameters()
+    base = {k: params[k].copy() for k in direction}
+
+    def loss_at(t):
+        for k, v in direction.items():
+            params[k][...] = base[k] + t * v
+        return losses.dice_loss(network.forward(m, img)[0], target)[0]
+
+    try:
+        return (loss_at(h) - loss_at(-h)) / (2 * h)
+    finally:
+        for k, v in base.items():
+            params[k][...] = v
+
+
+PYRAMID_CONV_KEYS = [f"{name}.w" for name, _ in network._conv_layers(pyramid_config((1, 3)))]
+
+
+def directional_error(key):
+    """Relative error of ``network.backward``'s derivative of the dice loss
+    along a random direction in ``key`` alone, on the two-branch pyramid."""
+    m, img, target, rng = pyramid_problem((1, 3))
+    probs, cache = network.forward(m, img)
+    _, dprobs = losses.dice_loss(probs, target)
+    analytic_grad = network.backward(m, cache, dprobs)[key]
+    direction = {key: rng.normal_array(analytic_grad.shape)}
+    analytic = float(np.vdot(analytic_grad, direction[key]))
+    numeric = central_difference(m, img, target, direction)
+    assert abs(analytic) > 1e-6
+    return abs(numeric - analytic) / abs(analytic)
+
+
 class TestGradMap:
     def test_backward_covers_every_parameter(self):
         cfg = small_config()
@@ -353,39 +411,36 @@ class TestGradMap:
     def test_backward_matches_central_difference(self, dilations):
         """Directional derivative of the dice loss along a random direction in
         every parameter, float64, on one- and two-branch pyramids."""
-        cfg = network.NetworkConfig(input_size=8, stem_width=3, down_width=4, aspp_width=3,
-                                    fuse_width=4, aspp_dilations=dilations)
-        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 17)
-        m = network.build_model(cfg, asn, 17, dtype=np.float64)
-        rng = SplitMix64(18)
-        for name, b in m.params.items():
-            if name.endswith(".b"):
-                b += (rng.uniform_array(b.size) - 0.5) * 0.1
-        for st in m.acts:
-            suite._noise_params(st, rng)
-        img = rng.uniform_array(2 * 3 * 8 * 8).reshape(2, 3, 8, 8)
-        fg = rng.uniform_array(2 * 8 * 8).reshape(2, 8, 8) < 0.4
-        target = np.stack([1.0 - fg, fg * 1.0], axis=1)
-
+        m, img, target, rng = pyramid_problem(dilations)
         probs, cache = network.forward(m, img)
         # steps of h = 1e-6 move pre-activations by ~1e-5, so no kink is crossed
         assert suite._min_kink_distance(m, cache) > 1e-4
         _, dprobs = losses.dice_loss(probs, target)
         grads = network.backward(m, cache, dprobs)
         params = m.parameters()
-        base = {k: v.copy() for k, v in params.items()}
         direction = {k: rng.normal_array(v.shape) for k, v in params.items()}
         analytic = sum(float(np.vdot(grads[k], direction[k])) for k in params)
-
-        def loss_at(t):
-            for k, v in params.items():
-                v[...] = base[k] + t * direction[k]
-            return losses.dice_loss(network.forward(m, img)[0], target)[0]
-
-        h = 1e-6
-        numeric = (loss_at(h) - loss_at(-h)) / (2 * h)
+        numeric = central_difference(m, img, target, direction)
         assert abs(analytic) > 1e-3
         assert abs(numeric - analytic) <= 1e-7 * abs(analytic)
+
+    @pytest.mark.parametrize("key", PYRAMID_CONV_KEYS)
+    def test_each_conv_weight_matches_central_difference(self, key):
+        """The same check along a direction in one conv weight only. Unlike
+        the gradient suite's end-to-end row, whose relative error floors its
+        denominator at 1, this sees a 10% error in a small gradient."""
+        assert directional_error(key) <= 1e-6
+
+    def test_each_conv_weight_check_sees_a_tenth_off(self, monkeypatch):
+        backward = network.backward
+
+        def skewed(model, cache, dprobs):
+            grads = backward(model, cache, dprobs)
+            grads["stem.w"] = grads["stem.w"] * 1.1
+            return grads
+
+        monkeypatch.setattr(network, "backward", skewed)
+        assert directional_error("stem.w") > 1e-6
 
 
 class TestCheckpoint:
