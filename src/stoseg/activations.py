@@ -503,6 +503,26 @@ def act_forward(x: np.ndarray, state: ActivationState) -> np.ndarray:
     return _KINDS[state.kind].forward(x, state)
 
 
+def act_forward_variants(x: np.ndarray, state: ActivationState, values: np.ndarray) -> np.ndarray:
+    """``act_forward(x, ·)`` under each of B parameter arrays ``values``
+    (B, p, channels) of the state's kind, stacked as (B, n, c, h, w).
+
+    The variants fold into the channels of one call: channel b*c + j of
+    ``x`` tiled B times reads ``values[b, :, j]``. Every kind works per
+    channel, so each variant's output equals that of a state holding its
+    parameters, bit for bit.
+    """
+    _check_channels(x, state)
+    if values.ndim != 3 or values.shape[1:] != state.params.shape:
+        raise ValueError(f"parameter variants of shape {values.shape}, expected "
+                         f"(B,) + {state.params.shape}")
+    nb, (n, c, h, w) = len(values), x.shape
+    folded = ActivationState(state.kind, nb * c,
+                             values.transpose(1, 0, 2).reshape(len(state.params), nb * c))
+    y = act_forward(np.tile(x, (1, nb, 1, 1)), folded)
+    return y.reshape(n, nb, c, h, w).swapaxes(0, 1)
+
+
 def act_backward(x: np.ndarray, state: ActivationState, upstream: np.ndarray):
     """Input gradient and per-channel parameter gradients.
 

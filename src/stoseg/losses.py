@@ -58,24 +58,40 @@ def _check_probs_target(probs, target):
     return probs, target
 
 
+def _dice_parts(probs: np.ndarray, target: np.ndarray):
+    """Per-sample losses (n,) of a batch, and the numerators and
+    denominators (n, c) of its per-class ratios."""
+    inter = (probs * target).sum(axis=(2, 3))  # (n, c)
+    psum = probs.sum(axis=(2, 3))
+    gsum = target.sum(axis=(2, 3))
+    num = 2.0 * inter + DICE_EPS
+    den = psum + gsum + DICE_EPS
+    return 1.0 - (num / den).mean(axis=1), num, den
+
+
+def dice_per_sample(probs: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Soft dice loss of each map of a batch (n, c, h, w), shape (n,): the
+    values whose mean ``dice_loss`` returns."""
+    probs, target = _check_probs_target(probs, target)
+    if probs.ndim != 4:
+        raise ValueError(f"expected a batch (n, c, h, w), got ndim {probs.ndim}")
+    return _dice_parts(probs, target)[0]
+
+
 def dice_loss(probs: np.ndarray, target: np.ndarray):
     """Soft dice loss, macro-averaged over the two classes.
 
     L = 1 - mean_c (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps), eps = 1e-5.
     Accepts one map (c, h, w) or a batch (n, c, h, w); batches average the
-    per-sample losses. Returns (loss, dL/dprobs).
+    per-sample losses (``dice_per_sample``). Returns (loss, dL/dprobs).
     """
     probs, target = _check_probs_target(probs, target)
     squeeze = probs.ndim == 3
     if squeeze:
         probs, target = probs[None], target[None]
     n, c = probs.shape[0], probs.shape[1]
-    inter = (probs * target).sum(axis=(2, 3))  # (n, c)
-    psum = probs.sum(axis=(2, 3))
-    gsum = target.sum(axis=(2, 3))
-    num = 2.0 * inter + DICE_EPS
-    den = psum + gsum + DICE_EPS
-    loss = float(np.mean(1.0 - (num / den).mean(axis=1)))
+    per_sample, num, den = _dice_parts(probs, target)
+    loss = float(np.mean(per_sample))
     scale = 1.0 / (n * c)
     grad = -scale * (2.0 * target * den[:, :, None, None] - num[:, :, None, None]) \
         / (den * den)[:, :, None, None]

@@ -51,7 +51,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .activations import ActivationKind, ActivationState, PARAM_COUNTS, act_backward, act_forward, act_init
+from .activations import (
+    ActivationKind,
+    ActivationState,
+    PARAM_COUNTS,
+    act_backward,
+    act_forward,
+    act_forward_variants,
+    act_init,
+)
 from .fileio import write_atomic
 from .rng import SplitMix64
 
@@ -210,9 +218,71 @@ def build_model(
                  acts=acts, init_seed=init_seed)
 
 
-def _conv(model: Model, layer: Layer, x: np.ndarray) -> np.ndarray:
+def param_stages(model: Model) -> dict[str, int]:
+    """The stage that reads each key of ``model.parameters()``: a branch's
+    conv weight and bias and its site's activation parameters belong to the
+    branch's stage, and the head's to ``len(model._stages)``."""
+    params, stages, site = model.parameters(), {}, 0
+    for k, stage in enumerate(model._stages):
+        for name, _ in stage:
+            stages[f"{name}.w"] = stages[f"{name}.b"] = k
+            if f"act{site}.params" in params:
+                stages[f"act{site}.params"] = k
+            site += 1
+    head = model._head[0]
+    stages[f"{head}.w"] = stages[f"{head}.b"] = len(model._stages)
+    return stages
+
+
+def _conv(model: Model, layer: Layer, x: np.ndarray, variants) -> np.ndarray:
+    """The layer's conv of ``x``. With ``variants=(key, values)`` naming
+    this layer's weight or bias, the B values fold into the output channels
+    of one conv of the single image ``x``, and the result is (B, cout, h, w):
+    each output channel is one GEMM row, so variant b equals the conv with
+    ``values[b]`` in place, bit for bit."""
     name, spec = layer
-    return ops.conv2d(x, model.params[f"{name}.w"], model.params[f"{name}.b"], spec)
+    w, b = model.params[f"{name}.w"], model.params[f"{name}.b"]
+    if variants is None or variants[0] not in (f"{name}.w", f"{name}.b"):
+        return ops.conv2d(x, w, b, spec)
+    key, values = variants
+    nb = len(values)
+    if key == f"{name}.w":
+        w, b = values, np.tile(b, nb)
+    else:
+        w, b = np.broadcast_to(w, (nb,) + w.shape), values
+    spec = dataclasses.replace(spec, out_channels=nb * spec.out_channels)
+    y = ops.conv2d(x, w.reshape((spec.out_channels,) + w.shape[2:]), b.reshape(-1), spec)
+    return y.reshape((nb, -1) + y.shape[2:])
+
+
+def _act(model: Model, site: int, z: np.ndarray, variants) -> np.ndarray:
+    """Site ``site``'s activation of ``z``; with ``variants`` naming its
+    parameters, ``act_forward_variants`` of the single map ``z``."""
+    st = model.acts[site]
+    if variants is None or variants[0] != f"act{site}.params":
+        return act_forward(z, st)
+    return act_forward_variants(z, st, variants[1])[:, 0]
+
+
+def _check_variants(model: Model, images: np.ndarray, variants, start: int):
+    """``variants`` with its values cast to the parameter's dtype, as
+    assigning them into the live array would, and the stage of its key."""
+    key, values = variants
+    params = model.parameters()
+    if key not in params:
+        raise ValueError(f"unknown variant key {key!r}")
+    if images.shape[0] != 1:
+        raise ValueError(f"variants of {key!r} take one image, got {images.shape[0]}")
+    shape = params[key].shape
+    values = np.asarray(values)
+    if values.ndim != len(shape) + 1 or values.shape[1:] != shape or len(values) < 1:
+        raise ValueError(f"variant values of {key!r} have shape {values.shape}, "
+                         f"expected (B >= 1,) + {shape}")
+    stage = param_stages(model)[key]
+    if stage < start:
+        raise ValueError(f"variant key {key!r} is read by stage {stage}, "
+                         f"before the resume stage {start}")
+    return (key, values.astype(params[key].dtype, copy=False)), stage
 
 
 def _check_images(cfg: NetworkConfig, images: np.ndarray) -> None:
@@ -224,7 +294,7 @@ def _check_images(cfg: NetworkConfig, images: np.ndarray) -> None:
         )
 
 
-def forward(model: Model, images: np.ndarray, *, resume=None):
+def forward(model: Model, images: np.ndarray, *, resume=None, variants=None):
     """Batched forward pass: (n, 3, S, S) -> probabilities (n, 2, S, S).
 
     Returns ``(probs, cache)`` where the cache holds the intermediates the
@@ -239,11 +309,25 @@ def forward(model: Model, images: np.ndarray, *, resume=None):
     equals a full forward bit for bit. The prefix is valid only while no
     parameter of the stages before k has changed since that earlier
     forward; this is not checked. The given cache is left unchanged.
+
+    ``variants=(key, values)`` evaluates one image under B values of the
+    parameter array ``key`` at once: ``values`` is (B,) + its shape, and
+    ``probs[b]`` equals a forward with ``values[b]`` in place of the array,
+    bit for bit. The stage that reads ``key`` (``param_stages``) runs once:
+    a conv weight or bias folds the variants into the output channels of
+    one conv, activation parameters into the channels of one activation
+    call, and the stage's other branches are broadcast to the batch; the
+    later stages and the decoder then run on the batch of B. Every op on a
+    variant is elementwise or a GEMM row of the unbatched shape, which is
+    why the bits are kept. The key's stage must not come before the resume
+    stage. The cache then holds the batched intermediates, which
+    ``backward`` does not take.
     """
     _check_images(model.config, images)
     stages = model._stages
     xs = [images]
     pre: list[np.ndarray] = []
+    start = 0
     if resume is not None:
         cache, start = resume
         if cache["xs"][0] is not images:
@@ -252,14 +336,19 @@ def forward(model: Model, images: np.ndarray, *, resume=None):
             raise ValueError(f"resume stage {start} is outside 0..{len(stages)}")
         xs = cache["xs"][: start + 1]
         pre = cache["pre"][: sum(len(stage) for stage in stages[:start])]
-        stages = stages[start:]
-    for stage in stages:
+    at = len(stages)
+    if variants is not None:
+        variants, at = _check_variants(model, images, variants, start)
+    for k in range(start, len(stages)):
         outs = []
-        for layer in stage:
-            pre.append(_conv(model, layer, xs[-1]))
-            outs.append(act_forward(pre[-1], model.acts[len(pre) - 1]))
+        for layer in stages[k]:
+            pre.append(_conv(model, layer, xs[-1], variants))
+            outs.append(_act(model, len(pre) - 1, pre[-1], variants))
+        if k == at:  # the other branches' single maps join the batch
+            outs = [np.broadcast_to(o, (len(variants[1]),) + o.shape[1:]) for o in outs]
         xs.append(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))
-    probs = ops.softmax_channel(ops.upsample_bilinear(_conv(model, model._head, xs[-1]), _UPSAMPLE))
+    head = _conv(model, model._head, xs[-1], variants)
+    probs = ops.softmax_channel(ops.upsample_bilinear(head, _UPSAMPLE))
     return probs, {"xs": xs, "pre": pre, "probs": probs}
 
 

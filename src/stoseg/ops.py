@@ -162,6 +162,9 @@ def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: C
     ``need_dx=False`` (a layer whose input needs no gradient, such as the
     image) dx is returned as None and its GEMMs are skipped; dweight and
     dbias are unchanged.
+
+    A 1x1, stride-1, unpadded layer has one tap, whose run is the whole of
+    ``x`` and of ``grad``: ``_pointwise_backward`` reads both in place.
     """
     _check_conv_args(x, weight, spec)
     n, cin, h, w = x.shape
@@ -170,6 +173,8 @@ def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: C
     if grad.shape != (n, cout, oh, ow):
         raise ValueError(f"upstream shape {grad.shape} != output shape {(n, cout, oh, ow)}")
     p, d, s = spec.padding, spec.dilation, spec.stride
+    if (spec.kernel_h, spec.kernel_w, s, p) == (1, 1, 1, 0):
+        return _pointwise_backward(grad, x, weight, need_dx)
     rows, cols = _phase_runs(h, p, s), _phase_runs(w, p, s)
     hq, wq = -(-(h + 2 * p) // s) + 1, -(-(w + 2 * p) // s)
     run = oh * wq
@@ -205,6 +210,23 @@ def conv2d_backward(grad: np.ndarray, x: np.ndarray, weight: np.ndarray, spec: C
         for b, (xc, qc) in enumerate(cols):
             dx[:, :, xr, xc] = dph[:, :, a, b, qr, qc]
     return dx, dweight, dbias
+
+
+def _pointwise_backward(grad, x, weight, need_dx):
+    """``conv2d_backward`` of a 1x1, stride-1, unpadded layer: the tap's
+    GEMMs of the phase-split backward over ``x`` and ``grad`` themselves,
+    with no phase buffer or extended gradient, and nothing written into
+    ``x``. The GEMMs see the same values in the same shapes, so dx, dweight
+    and dbias equal the phase-split path's."""
+    n, cin, h, w = x.shape
+    g = grad.reshape(n, -1, h * w)
+    dbias = grad.sum(axis=(0, 2, 3))
+    dweight = np.empty(weight.shape, np.result_type(grad, x))
+    dweight[:, :, 0, 0] = np.matmul(g, x.reshape(n, cin, h * w).transpose(0, 2, 1)).sum(axis=0)
+    if not need_dx:
+        return None, dweight, dbias
+    dx = np.matmul(weight[:, :, 0, 0].T, g).astype(x.dtype, copy=False)
+    return dx.reshape(x.shape), dweight, dbias
 
 
 @functools.lru_cache(maxsize=256)

@@ -5,13 +5,19 @@ differences, plus the end-to-end reduced network. Used by the CLI
 Every check has one shape: it draws float64 inputs from its seed, wraps the
 piece as ``fn(*inputs) -> (y, vjp)`` and returns ``gradcheck``'s largest
 relative error. The inputs are the live arrays the piece reads, parameters
-included, which ``gradcheck`` perturbs and restores in place; no check
-copies them. The end-to-end check makes one ``gradcheck`` call per stage of
-the network, over the parameters that stage reads, and its perturbed
-forwards resume at that stage from a cached forward. The earlier stages'
-outputs are the same bits either way and every call draws the same scalar
-cotangent, so its row equals that of one call over every parameter, with
-about 30% fewer conv calls. ``run_suite`` is one loop over a table
+included; no check copies them. ``gradcheck`` stacks the ±h perturbations
+of each input array and asks an ``evaluate`` callback for their outputs.
+By default it runs ``fn`` once per perturbation on the live array. The
+activation and end-to-end checks pass callbacks that run all of an array's
+perturbations in one batched call instead. The end-to-end check makes one
+``gradcheck`` call per stage of the network, over the parameters that stage
+reads, and for each parameter array runs one forward
+(``network.forward(..., resume=..., variants=...)``; a few for an array
+beyond gradcheck's batch bound) that resumes at that stage from a cached
+forward and carries the perturbations on the batch axis. Each batched
+output is an elementwise op or a GEMM row of the unbatched shape, so every
+objective, and so every row, is the same float as from one forward per
+perturbation. ``run_suite`` is one loop over a table
 of ``(name, check, tolerance, seed count)`` rows. The table is built on
 each call, not at import, so it reads the module's functions when the
 suite runs: a tracer that swaps them for timing wrappers
@@ -31,12 +37,13 @@ from .activations import (
     ActivationKind,
     act_backward,
     act_forward,
+    act_forward_variants,
     act_init,
     default_pool,
     kink_points,
 )
 from .gradcheck import DEFAULT_STEP, gradcheck
-from .losses import dice_loss, weighted_ce
+from .losses import dice_loss, dice_per_sample, weighted_ce
 from .rng import SplitMix64, derive_seed
 
 TOL = 1e-4  # activations, ops and losses
@@ -89,7 +96,11 @@ def _noise_params(state, rng: SplitMix64) -> None:
 
 def check_activation(kind: ActivationKind, seed: int) -> float:
     """Input and parameter gradients of one kind at noised parameters. A
-    parameter-free kind's (0, channels) parameter array adds no scalars."""
+    parameter-free kind's (0, channels) parameter array adds no scalars.
+
+    Each input's perturbations run in one call: those of ``x`` on the batch
+    axis, since the activation works per element, and those of the
+    parameters folded into channels (``act_forward_variants``)."""
     channels = 2
     state = act_init(kind, channels, dtype=np.float64)
     rng = SplitMix64(derive_seed(seed, default_pool().index(kind)))
@@ -98,7 +109,13 @@ def check_activation(kind: ActivationKind, seed: int) -> float:
 
     def fn(xv, _params):  # the parameters are state.params itself
         return act_forward(xv, state), lambda u: act_backward(xv, state, u)
-    return gradcheck(fn, [x, state.params], cotangent_seed=seed)
+
+    def evaluate(k, values):
+        if k == 0:
+            return act_forward(values.reshape((-1,) + x.shape[1:]), state).reshape(values.shape)
+        return act_forward_variants(x, state, values)
+
+    return gradcheck(fn, [x, state.params], cotangent_seed=seed, evaluate=evaluate)
 
 
 def check_conv(seed: int) -> float:
@@ -173,18 +190,13 @@ def _min_kink_distance(model, cache) -> float:
 
 def _stage_groups(model) -> list[list[str]]:
     """The keys of ``model.parameters()`` grouped by the stage that reads
-    them, sorted within a group: group k holds stage k's conv weights and
-    biases and its sites' activation parameters, and the last group, k =
-    ``len(model._stages)``, the head's weight and bias."""
-    params = model.parameters()
-    groups, site = [], 0
-    for stage in model._stages:
-        keys = [f"{name}.{p}" for name, _ in stage for p in ("w", "b")]
-        keys += [f"act{i}.params" for i in range(site, site + len(stage))]
-        groups.append(sorted(key for key in keys if key in params))
-        site += len(stage)
-    head = model._head[0]
-    groups.append([f"{head}.b", f"{head}.w"])
+    them (``network.param_stages``), sorted within a group: group k holds
+    stage k's conv weights and biases and its sites' activation parameters,
+    and the last group, k = ``len(model._stages)``, the head's weight and
+    bias."""
+    groups = [[] for _ in range(len(model._stages) + 1)]
+    for key, k in sorted(network.param_stages(model).items()):
+        groups[k].append(key)
     return groups
 
 
@@ -205,6 +217,14 @@ def check_network(seed: int) -> float:
     stage inputs as a full forward would, bit for bit, and every call draws
     the same scalar cotangent from ``seed``, so the maximum over the groups
     equals that of one ``gradcheck`` over all parameters.
+
+    The ±h perturbations of one parameter array run in one batched forward
+    (``network.forward(..., variants=...)``; a few for an array beyond
+    gradcheck's batch bound), scored by ``dice_per_sample``.
+    Each variant's arithmetic is that of a forward with the perturbed array
+    in place, bit for bit, and per-sample dice of a batch equals dice of
+    each map alone, so every numeric gradient, and so the row, is the same
+    as from one forward per perturbation.
     """
     cfg = REDUCED_CONFIG
     assignment = network.assign_activations(
@@ -246,7 +266,12 @@ def check_network(seed: int) -> float:
 
             return np.float64(loss), vjp
 
-        return gradcheck(fn, [params[key] for key in keys], h=E2E_STEP, cotangent_seed=seed)
+        def evaluate(i, values):
+            probs, _ = network.forward(model, image, resume=(base, k), variants=(keys[i], values))
+            return dice_per_sample(probs, np.broadcast_to(target, probs.shape))
+
+        return gradcheck(fn, [params[key] for key in keys], h=E2E_STEP, cotangent_seed=seed,
+                         evaluate=evaluate)
 
     return max(check_group(k, keys) for k, keys in enumerate(_stage_groups(model)))
 

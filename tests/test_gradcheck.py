@@ -1,8 +1,12 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from stoseg.gradcheck import GradcheckError, gradcheck, relative_error
 from stoseg.rng import SplitMix64
+
+gradcheck_module = importlib.import_module("stoseg.gradcheck")
 
 
 def linear_fn(x):
@@ -100,3 +104,59 @@ def test_inputs_equal_their_concatenation():
     err = gradcheck(fn, inputs)
     assert 0.0 < err < 1e-4
     assert err == gradcheck(concatenated, [flat])
+
+
+def test_evaluate_gets_plus_then_minus_copies_in_c_order():
+    x = SplitMix64(4).normal_array((2, 3)).T  # a strided input
+    calls = []
+
+    def evaluate(k, values):
+        calls.append(values)
+        return np.stack([square(v)[0] for v in values])
+
+    assert gradcheck(square, [x], h=0.5, evaluate=evaluate) < 1e-9
+    (values,) = calls
+    assert values.shape == (12, 3, 2)
+    for i, index in enumerate(np.ndindex(x.shape)):
+        for row, step in ((values[i], 0.5), (values[6 + i], -0.5)):
+            want = x.copy()
+            want[index] = x[index] + step
+            assert np.array_equal(row, want)
+
+
+def test_batched_evaluate_gives_the_default_float():
+    x = SplitMix64(5).normal_array((3, 4))
+    w = np.arange(1.0, 13.0).reshape(3, 4)
+
+    def fn(v):
+        return np.sin(v) * w, lambda u: [u * w * np.cos(v)]
+
+    def evaluate(k, values):
+        return np.sin(values) * w
+
+    err = gradcheck(fn, [x])
+    assert 0.0 < err < 1e-4
+    assert gradcheck(fn, [x], evaluate=evaluate) == err
+
+
+def test_a_large_input_is_split_into_batches(monkeypatch):
+    x = SplitMix64(6).normal_array((5, 4))
+    err = gradcheck(square, [x])
+    sizes = []
+
+    def evaluate(k, values):
+        sizes.append(len(values))
+        return values * values
+
+    monkeypatch.setattr(gradcheck_module, "_BATCH_VALUES", 2 * 20 * 7)
+    assert gradcheck(square, [x], evaluate=evaluate) == err
+    assert sizes == [14, 14, 12]
+
+
+def test_evaluate_output_checked():
+    x = np.ones(3)
+    message = r"shape \(6,\) for 6 perturbations of an output of shape \(3,\)"
+    with pytest.raises(ValueError, match=message):
+        gradcheck(square, [x], evaluate=lambda k, values: values.sum(axis=1))
+    with pytest.raises(GradcheckError, match="perturbed"):
+        gradcheck(square, [x], evaluate=lambda k, values: values + np.inf)

@@ -9,6 +9,7 @@ from stoseg.losses import (
     TrainConfig,
     TrainingDiverged,
     dice_loss,
+    dice_per_sample,
     sgd_step,
     train_model,
     weighted_ce,
@@ -69,6 +70,21 @@ class TestDiceLoss:
         lb, gb = dice_loss(np.stack([p1, p2]), np.stack([t1, t2]))
         assert lb == pytest.approx((l1 + l2) / 2, abs=1e-12)
         np.testing.assert_allclose(gb, np.stack([g1, g2]) / 2, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_per_sample_losses_are_each_map_alone(self, n):
+        """dice_loss is their mean, and each equals the map's loss on its
+        own, bit for bit, which the batched end-to-end gradient check
+        relies on."""
+        rng = SplitMix64(7 + n)
+        probs = rng.uniform_array(n * 128).reshape(n, 2, 8, 8)
+        target = np.stack([half_foreground_target()] * n)
+        per = dice_per_sample(probs, target)
+        assert per.shape == (n,)
+        assert float(np.mean(per)) == dice_loss(probs, target)[0]
+        assert [float(v) for v in per] == [dice_loss(p, t)[0] for p, t in zip(probs, target)]
+        with pytest.raises(ValueError, match="batch"):
+            dice_per_sample(probs[0], target[0])
 
 
 class TestWeightedCE:

@@ -249,6 +249,60 @@ class TestResume:
                 network.forward(m, img, resume=(cache, k))
 
 
+class TestVariants:
+    """forward(..., variants=(key, values)) runs one image under B values of
+    one parameter array on the batch axis."""
+
+    @staticmethod
+    def variant_values(p, dtype, seed, count=3):
+        rng = SplitMix64(seed)
+        step = (rng.uniform_array(count * p.size).reshape((count,) + p.shape) - 0.5) * 0.2
+        return (p[None] + step).astype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_a_forward_with_the_values_in_place(self, dtype):
+        img = SplitMix64(5).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16).astype(dtype)
+        for m in TestPredictBlocks.pool_models(dtype):
+            _, cache = network.forward(m, img)
+            stage_of = network.param_stages(m)
+            for i, (key, p) in enumerate(sorted(m.parameters().items())):
+                values = self.variant_values(p, dtype, i)
+                orig, want = p.copy(), []
+                try:
+                    for v in values:
+                        p[...] = v
+                        want.append(network.forward(m, img)[0][0])
+                finally:
+                    p[...] = orig
+                runs = [None] + [(cache, k) for k in range(stage_of[key] + 1)]
+                for resume in runs:
+                    got, _ = network.forward(m, img, resume=resume, variants=(key, values))
+                    assert got.dtype == dtype and got.shape == (len(values), 2, 16, 16)
+                    for b, w in enumerate(want):
+                        assert np.array_equal(got[b], w), (key, resume and resume[1], b)
+                assert np.array_equal(p, orig)
+
+    def test_rejects_what_it_cannot_run(self):
+        m = noised_model(small_config(), 3)
+        img = SplitMix64(6).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16)
+        one = img[:1]
+        w = m.params["down2.w"]
+        _, cache = network.forward(m, one)
+        cases = [
+            (img, {}, ("down2.w", w[None]), "'down2.w' take one image, got 2"),
+            (one, {}, ("down3.w", w[None]), "unknown variant key 'down3.w'"),
+            (one, {}, ("down2.w", w),
+             r"have shape \(8, 8, 3, 3\), expected \(B >= 1,\) \+ \(8, 8, 3, 3\)"),
+            (one, {}, ("down2.w", w[None, :1]), "have shape"),
+            (one, {}, ("down2.w", w[None][:0]), r"have shape \(0, 8, 8, 3, 3\)"),
+            (one, {"resume": (cache, 3)}, ("down2.w", w[None]),
+             "'down2.w' is read by stage 2, before the resume stage 3"),
+        ]
+        for images, kwargs, variants, message in cases:
+            with pytest.raises(ValueError, match=message):
+                network.forward(m, images, variants=variants, **kwargs)
+
+
 class TestDecoder:
     @pytest.mark.parametrize("dilations", [(1, 2, 4), (3,)])
     def test_head_before_upsample_equals_upsample_before_head(self, dilations):

@@ -92,6 +92,7 @@ class TestConv2d:
 BACKWARD_GRID = [
     (3, 3, 1, 0, 1), (3, 3, 1, 1, 1), (3, 3, 2, 1, 1), (3, 3, 1, 2, 2), (3, 3, 2, 2, 2),
     (3, 3, 3, 0, 1), (1, 3, 1, 1, 1), (3, 1, 2, 1, 2), (2, 3, 1, 1, 1),
+    (1, 1, 1, 0, 1), (1, 1, 2, 0, 1),
 ]
 
 
@@ -283,6 +284,21 @@ class TestPhaseSplitBackward:
             g = rng.normal_array((8, spec.out_channels) + spec.output_hw(hw, hw)).astype(dtype)
             _assert_matches_im2col_backward(g, x, w, spec, name)
             hw = spec.output_hw(hw, hw)[0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pointwise_layer_reads_read_only_inputs(self, dtype):
+        """A 1x1, stride-1, unpadded layer reads x and grad in place and
+        writes into neither, whatever their strides."""
+        rng = SplitMix64(33)
+        base = rng.normal_array((2, 6, 5, 7)).astype(dtype)
+        wt = rng.normal_array((4, 3, 1, 1)).astype(dtype)
+        g = rng.normal_array((2, 4, 5, 7)).astype(dtype)
+        g.flags.writeable = False
+        spec = ops.ConvSpec(4, 3, 1, 1)
+        for name, x in {"contiguous": base[:, :3], "channel_step": base[:, ::2],
+                        "negative_width": base[:, :3, :, ::-1]}.items():
+            x.flags.writeable = False
+            _assert_matches_im2col_backward(g, x, wt, spec, name)
 
     def test_peak_memory_holds_no_full_columns(self):
         """At down1's training shape the full W^T @ grad columns alone are
