@@ -173,6 +173,8 @@ def load_dir(images_dir, masks_dir) -> Dataset:
 
 def split(ds: Dataset, train_count: int, test_count: int, seed: int):
     """Seeded shuffle, then prefix/suffix split into disjoint subsets."""
+    if train_count < 0 or test_count < 0:
+        raise ValueError(f"split counts {train_count}+{test_count} must not be negative")
     if train_count + test_count != len(ds):
         raise ValueError(
             f"split counts {train_count}+{test_count} != dataset size {len(ds)}"

@@ -218,22 +218,6 @@ def build_model(
                  acts=acts, init_seed=init_seed)
 
 
-def param_stages(model: Model) -> dict[str, int]:
-    """The stage that reads each key of ``model.parameters()``: a branch's
-    conv weight and bias and its site's activation parameters belong to the
-    branch's stage, and the head's to ``len(model._stages)``."""
-    params, stages, site = model.parameters(), {}, 0
-    for k, stage in enumerate(model._stages):
-        for name, _ in stage:
-            stages[f"{name}.w"] = stages[f"{name}.b"] = k
-            if f"act{site}.params" in params:
-                stages[f"act{site}.params"] = k
-            site += 1
-    head = model._head[0]
-    stages[f"{head}.w"] = stages[f"{head}.b"] = len(model._stages)
-    return stages
-
-
 def _conv(model: Model, layer: Layer, x: np.ndarray, variants) -> np.ndarray:
     """The layer's conv of ``x``. With ``variants=(key, values)`` naming
     this layer's weight or bias, the B values fold into the output channels
@@ -264,9 +248,9 @@ def _act(model: Model, site: int, z: np.ndarray, variants) -> np.ndarray:
     return act_forward_variants(z, st, variants[1])[:, 0]
 
 
-def _check_variants(model: Model, images: np.ndarray, variants, start: int):
+def _check_variants(model: Model, images: np.ndarray, variants):
     """``variants`` with its values cast to the parameter's dtype, as
-    assigning them into the live array would, and the stage of its key."""
+    assigning them into the live array would."""
     key, values = variants
     params = model.parameters()
     if key not in params:
@@ -278,11 +262,7 @@ def _check_variants(model: Model, images: np.ndarray, variants, start: int):
     if values.ndim != len(shape) + 1 or values.shape[1:] != shape or len(values) < 1:
         raise ValueError(f"variant values of {key!r} have shape {values.shape}, "
                          f"expected (B >= 1,) + {shape}")
-    stage = param_stages(model)[key]
-    if stage < start:
-        raise ValueError(f"variant key {key!r} is read by stage {stage}, "
-                         f"before the resume stage {start}")
-    return (key, values.astype(params[key].dtype, copy=False)), stage
+    return key, values.astype(params[key].dtype, copy=False)
 
 
 def _check_images(cfg: NetworkConfig, images: np.ndarray) -> None:
@@ -294,7 +274,7 @@ def _check_images(cfg: NetworkConfig, images: np.ndarray) -> None:
         )
 
 
-def forward(model: Model, images: np.ndarray, *, resume=None, variants=None):
+def forward(model: Model, images: np.ndarray, *, variants=None):
     """Batched forward pass: (n, 3, S, S) -> probabilities (n, 2, S, S).
 
     Returns ``(probs, cache)`` where the cache holds the intermediates the
@@ -302,50 +282,32 @@ def forward(model: Model, images: np.ndarray, *, resume=None, variants=None):
     sites in site order, and ``cache["xs"][k]`` is the input of stage ``k``
     (the image for the first stage; the last entry is the encoder output).
 
-    ``resume=(cache, k)`` reuses the prefix of ``cache``, the cache of an
-    earlier forward of these same ``images``: the inputs of stages 0..k and
-    the site inputs of the stages before k. Only stages k.. and the decoder
-    run (k = ``len(model._stages)`` runs the decoder alone), and the result
-    equals a full forward bit for bit. The prefix is valid only while no
-    parameter of the stages before k has changed since that earlier
-    forward; this is not checked. The given cache is left unchanged.
-
     ``variants=(key, values)`` evaluates one image under B values of the
     parameter array ``key`` at once: ``values`` is (B,) + its shape, and
     ``probs[b]`` equals a forward with ``values[b]`` in place of the array,
-    bit for bit. The stage that reads ``key`` (``param_stages``) runs once:
-    a conv weight or bias folds the variants into the output channels of
-    one conv, activation parameters into the channels of one activation
-    call, and the stage's other branches are broadcast to the batch; the
-    later stages and the decoder then run on the batch of B. Every op on a
-    variant is elementwise or a GEMM row of the unbatched shape, which is
-    why the bits are kept. The key's stage must not come before the resume
-    stage. The cache then holds the batched intermediates, which
-    ``backward`` does not take.
+    bit for bit. The pass runs from stage 0 on the single image until the
+    branch that reads ``key``: a conv weight or bias folds the variants
+    into the output channels of one conv, activation parameters into the
+    channels of one activation call. Each stage's branch outputs are
+    broadcast to the largest batch among them, so the stage's other
+    branches join the batch, and the later stages and the decoder run on
+    the batch of B. Every op on a variant is elementwise or a GEMM row of
+    the unbatched shape, which is why the bits are kept. The cache then
+    holds the batched intermediates, which ``backward`` does not take.
     """
     _check_images(model.config, images)
-    stages = model._stages
+    if variants is not None:
+        variants = _check_variants(model, images, variants)
     xs = [images]
     pre: list[np.ndarray] = []
-    start = 0
-    if resume is not None:
-        cache, start = resume
-        if cache["xs"][0] is not images:
-            raise ValueError("resume cache comes from a forward of another images array")
-        if not 0 <= start <= len(stages):
-            raise ValueError(f"resume stage {start} is outside 0..{len(stages)}")
-        xs = cache["xs"][: start + 1]
-        pre = cache["pre"][: sum(len(stage) for stage in stages[:start])]
-    at = len(stages)
-    if variants is not None:
-        variants, at = _check_variants(model, images, variants, start)
-    for k in range(start, len(stages)):
+    for stage in model._stages:
         outs = []
-        for layer in stages[k]:
+        for layer in stage:
             pre.append(_conv(model, layer, xs[-1], variants))
             outs.append(_act(model, len(pre) - 1, pre[-1], variants))
-        if k == at:  # the other branches' single maps join the batch
-            outs = [np.broadcast_to(o, (len(variants[1]),) + o.shape[1:]) for o in outs]
+        if variants is not None:  # single maps join the batch of B
+            nb = max(len(o) for o in outs)
+            outs = [np.broadcast_to(o, (nb,) + o.shape[1:]) for o in outs]
         xs.append(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))
     head = _conv(model, model._head, xs[-1], variants)
     probs = ops.softmax_channel(ops.upsample_bilinear(head, _UPSAMPLE))

@@ -9,18 +9,16 @@ included; no check copies them. ``gradcheck`` stacks the ±h perturbations
 of each input array and asks an ``evaluate`` callback for their outputs.
 By default it runs ``fn`` once per perturbation on the live array. The
 activation and end-to-end checks pass callbacks that run all of an array's
-perturbations in one batched call instead. The end-to-end check makes one
-``gradcheck`` call per stage of the network, over the parameters that stage
-reads, and for each parameter array runs one forward
-(``network.forward(..., resume=..., variants=...)``; a few for an array
-beyond gradcheck's batch bound) that resumes at that stage from a cached
-forward and carries the perturbations on the batch axis. Each batched
-output is an elementwise op or a GEMM row of the unbatched shape, so every
-objective, and so every row, is the same float as from one forward per
-perturbation. ``run_suite`` is one loop over a table
-of ``(name, check, tolerance, seed count)`` rows. The table is built on
-each call, not at import, so it reads the module's functions when the
-suite runs: a tracer that swaps them for timing wrappers
+perturbations in one batched call instead. The end-to-end check is one
+``gradcheck`` over every parameter array of the network and runs one
+forward from stage 0 per array (``network.forward(..., variants=...)``; a
+few for an array beyond gradcheck's batch bound) that carries the
+perturbations on the batch axis. Each batched output is an elementwise op or a GEMM row of
+the unbatched shape, so every objective, and so every row, is the same
+float as from one forward per perturbation. ``run_suite`` is one loop
+over a table of ``(name, check, tolerance, seed count)`` rows. The table
+is built on each call, not at import, so it reads the module's functions
+when the suite runs: a tracer that swaps them for timing wrappers
 (``perfbench/run.py --trace 1``) would otherwise be bypassed by a table
 holding the originals.
 """
@@ -188,18 +186,6 @@ def _min_kink_distance(model, cache) -> float:
     return dmin
 
 
-def _stage_groups(model) -> list[list[str]]:
-    """The keys of ``model.parameters()`` grouped by the stage that reads
-    them (``network.param_stages``), sorted within a group: group k holds
-    stage k's conv weights and biases and its sites' activation parameters,
-    and the last group, k = ``len(model._stages)``, the head's weight and
-    bias."""
-    groups = [[] for _ in range(len(model._stages) + 1)]
-    for key, k in sorted(network.param_stages(model).items()):
-        groups[k].append(key)
-    return groups
-
-
 def check_network(seed: int) -> float:
     """Dice-loss gradient of every weight, bias, and activation parameter of
     the reduced network against central differences.
@@ -210,21 +196,15 @@ def check_network(seed: int) -> float:
     regions plus zero biases put downstream inputs exactly on kinks, where
     the loss is genuinely non-differentiable and the comparison meaningless).
 
-    A parameter of stage k cannot change stages 0..k-1, so the parameters
-    are checked in one ``gradcheck`` per stage group (``_stage_groups``),
-    whose forwards resume at stage k from the cache of the kink search's
-    last forward. Every perturbed loss is then computed from the same
-    stage inputs as a full forward would, bit for bit, and every call draws
-    the same scalar cotangent from ``seed``, so the maximum over the groups
-    equals that of one ``gradcheck`` over all parameters.
-
-    The ±h perturbations of one parameter array run in one batched forward
-    (``network.forward(..., variants=...)``; a few for an array beyond
-    gradcheck's batch bound), scored by ``dice_per_sample``.
-    Each variant's arithmetic is that of a forward with the perturbed array
-    in place, bit for bit, and per-sample dice of a batch equals dice of
-    each map alone, so every numeric gradient, and so the row, is the same
-    as from one forward per perturbation.
+    All parameter arrays are checked in one ``gradcheck`` call, in sorted
+    key order. The ±h perturbations of one array run in one batched
+    forward from stage 0 (``network.forward(..., variants=...)``; a few for
+    an array beyond gradcheck's batch bound), scored by
+    ``dice_per_sample``. Every batched op on a variant is an elementwise op
+    or a GEMM row of the unbatched shape, so its arithmetic is that of a
+    forward with the perturbed array in place, bit for bit; per-sample dice
+    of a batch equals dice of each map alone, so every numeric gradient,
+    and so the row, is the same as from one forward per perturbation.
     """
     cfg = REDUCED_CONFIG
     assignment = network.assign_activations(
@@ -254,26 +234,24 @@ def check_network(seed: int) -> float:
         raise RuntimeError(f"could not find a kink-free evaluation point for seed {seed}")
 
     params = model.parameters()
+    keys = sorted(params)
 
-    def check_group(k: int, keys: list[str]) -> float:
-        def fn(*_params):  # the model reads the same arrays
-            probs, cache = network.forward(model, image, resume=(base, k))
-            loss, dprobs = dice_loss(probs, target)
+    def fn(*_params):  # the model reads the same arrays
+        probs, cache = network.forward(model, image)
+        loss, dprobs = dice_loss(probs, target)
 
-            def vjp(u):
-                grads = network.backward(model, cache, float(u) * dprobs)
-                return [grads[key] for key in keys]
+        def vjp(u):
+            grads = network.backward(model, cache, float(u) * dprobs)
+            return [grads[key] for key in keys]
 
-            return np.float64(loss), vjp
+        return np.float64(loss), vjp
 
-        def evaluate(i, values):
-            probs, _ = network.forward(model, image, resume=(base, k), variants=(keys[i], values))
-            return dice_per_sample(probs, np.broadcast_to(target, probs.shape))
+    def evaluate(i, values):
+        probs, _ = network.forward(model, image, variants=(keys[i], values))
+        return dice_per_sample(probs, np.broadcast_to(target, probs.shape))
 
-        return gradcheck(fn, [params[key] for key in keys], h=E2E_STEP, cotangent_seed=seed,
-                         evaluate=evaluate)
-
-    return max(check_group(k, keys) for k, keys in enumerate(_stage_groups(model)))
+    return gradcheck(fn, [params[key] for key in keys], h=E2E_STEP, cotangent_seed=seed,
+                     evaluate=evaluate)
 
 
 def run_suite(seeds: int = 20, e2e_seeds: int = 20) -> list[CheckResult]:

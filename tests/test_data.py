@@ -154,8 +154,14 @@ class TestSplit:
 
     def test_counts_must_sum(self):
         ds = data.synth_blobs(10, 32, 14)
-        with pytest.raises(ValueError, match="counts"):
-            data.split(ds, 5, 6, 0)
+        cases = [
+            ((5, 6), r"counts 5\+6 != dataset size 10"),
+            ((-1, 11), r"counts -1\+11 must not be negative"),
+            ((11, -1), r"counts 11\+-1 must not be negative"),
+        ]
+        for counts, message in cases:
+            with pytest.raises(ValueError, match=message):
+                data.split(ds, *counts, 0)
 
 
 class TestAugment:

@@ -218,37 +218,6 @@ class TestPredictBlocks:
                 fn(m, empty)
 
 
-class TestResume:
-    """forward(..., resume=(cache, k)) reruns stages k.. and the decoder."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_full_forward_at_every_stage(self, dtype):
-        img = SplitMix64(5).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16).astype(dtype)
-        for m in TestPredictBlocks.pool_models(dtype):
-            probs, cache = network.forward(m, img)
-            lengths = {key: len(cache[key]) for key in ("xs", "pre")}
-            for k in range(len(m._stages) + 1):
-                got, got_cache = network.forward(m, img, resume=(cache, k))
-                assert got.dtype == dtype and np.array_equal(got, probs)
-                assert got_cache["probs"] is got
-                for key in ("xs", "pre"):
-                    assert got_cache[key] is not cache[key]
-                    assert len(got_cache[key]) == lengths[key]
-                    for a, b in zip(got_cache[key], cache[key], strict=True):
-                        assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert {key: len(cache[key]) for key in ("xs", "pre")} == lengths
-
-    def test_rejects_foreign_images_and_stages_out_of_range(self):
-        m = noised_model(small_config(), 3)
-        img = SplitMix64(6).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16)
-        _, cache = network.forward(m, img)
-        with pytest.raises(ValueError, match="another images array"):
-            network.forward(m, img.copy(), resume=(cache, 1))
-        for k in (-1, len(m._stages) + 1):
-            with pytest.raises(ValueError, match=f"resume stage {k} is outside 0..5"):
-                network.forward(m, img, resume=(cache, k))
-
-
 class TestVariants:
     """forward(..., variants=(key, values)) runs one image under B values of
     one parameter array on the batch axis."""
@@ -261,46 +230,42 @@ class TestVariants:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_a_forward_with_the_values_in_place(self, dtype):
+        """Three variants and one: with one, every stage's largest batch is
+        1, as in a forward without variants."""
         img = SplitMix64(5).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16).astype(dtype)
         for m in TestPredictBlocks.pool_models(dtype):
-            _, cache = network.forward(m, img)
-            stage_of = network.param_stages(m)
             for i, (key, p) in enumerate(sorted(m.parameters().items())):
-                values = self.variant_values(p, dtype, i)
-                orig, want = p.copy(), []
-                try:
-                    for v in values:
-                        p[...] = v
-                        want.append(network.forward(m, img)[0][0])
-                finally:
-                    p[...] = orig
-                runs = [None] + [(cache, k) for k in range(stage_of[key] + 1)]
-                for resume in runs:
-                    got, _ = network.forward(m, img, resume=resume, variants=(key, values))
-                    assert got.dtype == dtype and got.shape == (len(values), 2, 16, 16)
+                for count in (3, 1):
+                    values = self.variant_values(p, dtype, i, count)
+                    orig, want = p.copy(), []
+                    try:
+                        for v in values:
+                            p[...] = v
+                            want.append(network.forward(m, img)[0][0])
+                    finally:
+                        p[...] = orig
+                    got, _ = network.forward(m, img, variants=(key, values))
+                    assert got.dtype == dtype and got.shape == (count, 2, 16, 16)
                     for b, w in enumerate(want):
-                        assert np.array_equal(got[b], w), (key, resume and resume[1], b)
-                assert np.array_equal(p, orig)
+                        assert np.array_equal(got[b], w), (key, count, b)
+                    assert np.array_equal(p, orig)
 
     def test_rejects_what_it_cannot_run(self):
         m = noised_model(small_config(), 3)
         img = SplitMix64(6).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16)
         one = img[:1]
         w = m.params["down2.w"]
-        _, cache = network.forward(m, one)
         cases = [
-            (img, {}, ("down2.w", w[None]), "'down2.w' take one image, got 2"),
-            (one, {}, ("down3.w", w[None]), "unknown variant key 'down3.w'"),
-            (one, {}, ("down2.w", w),
+            (img, ("down2.w", w[None]), "'down2.w' take one image, got 2"),
+            (one, ("down3.w", w[None]), "unknown variant key 'down3.w'"),
+            (one, ("down2.w", w),
              r"have shape \(8, 8, 3, 3\), expected \(B >= 1,\) \+ \(8, 8, 3, 3\)"),
-            (one, {}, ("down2.w", w[None, :1]), "have shape"),
-            (one, {}, ("down2.w", w[None][:0]), r"have shape \(0, 8, 8, 3, 3\)"),
-            (one, {"resume": (cache, 3)}, ("down2.w", w[None]),
-             "'down2.w' is read by stage 2, before the resume stage 3"),
+            (one, ("down2.w", w[None, :1]), "have shape"),
+            (one, ("down2.w", w[None][:0]), r"have shape \(0, 8, 8, 3, 3\)"),
         ]
-        for images, kwargs, variants, message in cases:
+        for images, variants, message in cases:
             with pytest.raises(ValueError, match=message):
-                network.forward(m, images, variants=variants, **kwargs)
+                network.forward(m, images, variants=variants)
 
 
 class TestDecoder:
