@@ -104,12 +104,9 @@ class ActivationKind(str, Enum):
     SOFT_LEARNABLE = "soft_learnable"
 
 
-POOL_ORDER: tuple[ActivationKind, ...] = tuple(ActivationKind)
-
-
 def default_pool() -> list[ActivationKind]:
     """The full pool in documented order; callers may truncate a prefix."""
-    return list(POOL_ORDER)
+    return list(ActivationKind)
 
 
 # Dyadic (center, width) schedule over [0, 2*MAX_INPUT]; melu4/galu4 take the

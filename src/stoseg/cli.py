@@ -1,12 +1,18 @@
 """Batch experiment runner driven by key=value config files.
 
 Subcommands: ``synth`` (emit a dataset in the PNM layout), ``train`` (one
-ensemble member: ``model.activation=sto`` gives ``ensemble``'s member 0 in
-``sto`` mode, a kind name the ``act`` member of the full pool that uses it),
-``eval`` (checkpoint against a test set), ``ensemble`` (train and evaluate
-an ensemble), ``gradcheck`` (the full gradient suite). Every run writes the
-fully resolved config next to its outputs, and all randomness flows from
-the single master seed.
+ensemble member), ``eval`` (checkpoint against a test set), ``ensemble``
+(train and evaluate an ensemble), ``gradcheck`` (the full gradient suite).
+Every run writes the fully resolved config next to its outputs, and all
+randomness flows from the single master seed.
+
+``train`` writes the bytes of one ``ensemble`` member file, trained with
+that member's seed (for member i, the i-th output of the master seed's
+stream). ``model.activation=sto`` is member 0 of the ``sto`` ensemble at the
+configured ``ensemble.pool_size``; a kind name is member i, the kind's pool
+index, of the ``act`` ensemble with ``ensemble.pool_size=17`` and any
+``ensemble.size`` above i. ``train`` reads neither ``ensemble.mode`` nor
+``ensemble.size``.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from pathlib import Path
 from . import data as data_mod
 from . import ensemble as ens_mod
 from . import network, suite
-from .activations import POOL_ORDER, ActivationKind
+from .activations import default_pool
 from .fileio import write_atomic
-from .losses import TrainConfig, train_model
+from .losses import TrainConfig
 from .metrics import CSV_COLUMNS, MetricReport
 from .rng import derive_seed
 
@@ -163,9 +169,10 @@ def load_dataset(cfg, seed: int) -> data_mod.Dataset:
     raise ConfigError(f"data.source must be 'synth' or 'dir', got {source!r}")
 
 
-def split_dataset(cfg, ds, seed: int):
+def load_split(cfg, seed: int):
+    """The configured dataset, split into ``(train, test)`` by the seed."""
     return data_mod.split(
-        ds, _as_int(cfg, "split.train"), _as_int(cfg, "split.test"),
+        load_dataset(cfg, seed), _as_int(cfg, "split.train"), _as_int(cfg, "split.test"),
         derive_seed(seed, TAG_SPLIT),
     )
 
@@ -197,14 +204,14 @@ def _prepare_out(cfg) -> Path:
 
 def cmd_synth(cfg) -> int:
     out = _prepare_out(cfg)
-    seed = _as_int(cfg, "seed")
-    ds = data_mod.synth_blobs(
-        _as_int(cfg, "data.synth_count"), _as_int(cfg, "data.synth_size"),
-        derive_seed(seed, TAG_DATA),
-    )
+    ds = load_dataset({**cfg, "data.source": "synth"}, _as_int(cfg, "seed"))
     data_mod.save_dataset(ds, out / "dataset")
     print(f"wrote {len(ds)} samples to {out / 'dataset'}")
     return 0
+
+
+def _resized(samples, size: int) -> list[data_mod.Sample]:
+    return [data_mod.resize_for_train(s, size) for s in samples]
 
 
 def cmd_train(cfg) -> int:
@@ -212,22 +219,16 @@ def cmd_train(cfg) -> int:
     seed = _as_int(cfg, "seed")
     choice = cfg["model.activation"]
     if choice == "sto":
-        mode, pool_size, index = "sto", _as_int(cfg, "ensemble.pool_size"), 0
+        index, member = 0, {"ensemble.mode": "sto"}
     else:
-        try:
-            kind = ActivationKind(choice)
-        except ValueError:
-            names = ", ".join(k.value for k in POOL_ORDER)
-            raise ConfigError(f"model.activation must be 'sto' or one of: {names}")
-        mode, pool_size, index = "act", len(POOL_ORDER), POOL_ORDER.index(kind)
-    spec = ens_mod.EnsembleSpec(mode=mode, size=1, master_seed=derive_seed(seed, TAG_ENSEMBLE),
-                                network=network_config(cfg), train=train_config(cfg, seed),
-                                pool_size=pool_size)
-    ds = load_dataset(cfg, seed)
-    train_ds, _ = split_dataset(cfg, ds, seed)
-    train_samples = [data_mod.resize_for_train(s, spec.network.input_size) for s in train_ds]
-    model = ens_mod.build_member(spec, index, ens_mod.member_seeds(spec.master_seed, 1)[0])
-    model, history = train_model(model, train_samples, spec.train)
+        pool = [k.value for k in default_pool()]
+        if choice not in pool:
+            raise ConfigError(f"model.activation must be 'sto' or one of: {', '.join(pool)}")
+        index = pool.index(choice)
+        member = {"ensemble.mode": "act", "ensemble.pool_size": str(len(pool))}
+    spec = ensemble_spec({**cfg, **member, "ensemble.size": str(index + 1)}, seed)
+    train_ds, _ = load_split(cfg, seed)
+    model, history = ens_mod.train_member(spec, _resized(train_ds, spec.network.input_size), index)
     network.save_model(out / "model.npz", model)
     write_loss_history(out / "loss_history.csv", history)
     print(f"trained {cfg['name']} for {len(history)} epochs; "
@@ -237,10 +238,8 @@ def cmd_train(cfg) -> int:
 
 def cmd_eval(cfg, checkpoint: str) -> int:
     out = _prepare_out(cfg)
-    seed = _as_int(cfg, "seed")
     model = network.load_model(checkpoint)
-    ds = load_dataset(cfg, seed)
-    _, test_ds = split_dataset(cfg, ds, seed)
+    _, test_ds = load_split(cfg, _as_int(cfg, "seed"))
     report = ens_mod.evaluate_model(model, list(test_ds))
     write_results_csv(out / "results.csv", [(cfg["name"], report)])
     print(f"{cfg['name']}: dice {report.dice:.4f}, iou {report.iou:.4f}")
@@ -251,10 +250,8 @@ def cmd_ensemble(cfg, parallel: int) -> int:
     out = _prepare_out(cfg)
     seed = _as_int(cfg, "seed")
     spec = ensemble_spec(cfg, seed)
-    ds = load_dataset(cfg, seed)
-    train_ds, test_ds = split_dataset(cfg, ds, seed)
-    train_samples = [data_mod.resize_for_train(s, spec.network.input_size) for s in train_ds]
-    ens = ens_mod.train_ensemble(spec, train_samples, parallel=parallel)
+    train_ds, test_ds = load_split(cfg, seed)
+    ens = ens_mod.train_ensemble(spec, _resized(train_ds, spec.network.input_size), parallel)
     report = ens_mod.ensemble_evaluate(ens, list(test_ds))
     row_name = f"{cfg['name']}_{spec.mode}"
     write_results_csv(out / "results.csv", [(row_name, report)])

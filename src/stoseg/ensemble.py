@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -83,17 +85,23 @@ def member_seeds(master_seed: int, size: int) -> list[int]:
     return [stream.next_u64() for _ in range(size)]
 
 
-def build_member(spec: EnsembleSpec, index: int, seed: int) -> Model:
+def build_member(spec: EnsembleSpec, index: int, seed: int | None = None) -> Model:
+    """Untrained member ``index``, built from its seed alone: by default
+    ``member_seeds(master_seed, size)[index]``. No ``stoseg`` code passes
+    ``seed``; perfbench's tests build a model from an arbitrary one."""
+    if not 0 <= index < spec.size:
+        raise ValueError(f"member index {index} is outside range({spec.size})")
+    seed = member_seeds(spec.master_seed, index + 1)[index] if seed is None else seed
     assignment = assign_activations(
         spec.mode, spec.pool(), spec.network.site_count, index, seed
     )
     return build_model(spec.network, assignment, derive_seed(seed, _INIT_TAG))
 
 
-def _train_member(spec: EnsembleSpec, samples: Sequence[Sample], index: int, seed: int) -> Model:
-    model = build_member(spec, index, seed)
-    model, _ = train_model(model, samples, spec.train)
-    return model
+def train_member(spec: EnsembleSpec, samples: Sequence[Sample], index: int):
+    """Build and train member ``index``; returns ``(model, history)`` with one
+    mean sample loss per epoch."""
+    return train_model(build_member(spec, index), samples, spec.train)
 
 
 # A pool worker's training set, sent once per worker by the pool initializer.
@@ -105,9 +113,8 @@ def _set_worker_samples(samples: list[Sample]) -> None:
     _worker_samples = samples
 
 
-def _train_worker_member(job) -> Model:
-    spec, index, seed = job
-    return _train_member(spec, _worker_samples, index, seed)
+def _train_worker_member(spec: EnsembleSpec, index: int):
+    return train_member(spec, _worker_samples, index)
 
 
 def train_ensemble(
@@ -119,30 +126,25 @@ def train_ensemble(
     its own seed, so results are identical whether members run
     sequentially or in a pool of ``min(parallel, spec.size)`` processes.
     A pool receives the samples once per worker, through its initializer;
-    a member's job is only ``(spec, index, seed)``.
+    a member's job is only ``(spec, index)``.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
     samples = list(train_set)
     if not samples:
         raise ValueError("training set is empty")
-    seeds = member_seeds(spec.master_seed, spec.size)
-    models: list[Model] = []
     workers = min(parallel, spec.size)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_worker_samples,
-                                 initargs=(samples,)) as pool:
-            futures = [pool.submit(_train_worker_member, (spec, i, seeds[i]))
-                       for i in range(spec.size)]
-            for i, fut in enumerate(futures):
-                try:
-                    models.append(fut.result())
-                except Exception as exc:
-                    raise RuntimeError(f"training member {i} failed: {exc}") from exc
-    else:
-        for i in range(spec.size):
+    with ExitStack() as stack:
+        if workers == 1:
+            jobs = [partial(train_member, spec, samples, i) for i in range(spec.size)]
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_worker_samples, initargs=(samples,)))
+            jobs = [pool.submit(_train_worker_member, spec, i).result for i in range(spec.size)]
+        models = []
+        for i, job in enumerate(jobs):
             try:
-                models.append(_train_member(spec, samples, i, seeds[i]))
+                models.append(job()[0])
             except Exception as exc:
                 raise RuntimeError(f"training member {i} failed: {exc}") from exc
     return Ensemble(members=models, spec=spec)

@@ -1,14 +1,14 @@
-"""Confusion counts and the seven binary-segmentation scores.
+"""Confusion counts and the six binary-segmentation scores (Dice is F1).
 
 Division-by-zero conventions: when prediction and ground truth are both
-empty, the overlap ratios (precision, recall, f1, f2, iou, dice) are all
+empty, the overlap ratios (precision, recall, f2, iou, dice) are all
 1.0 -- correctly predicting absence counts as a perfect score. When
 exactly one of them is empty, the affected ratios are 0.0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +37,6 @@ class MetricReport:
     accuracy: float
     precision: float
     recall: float
-    f1: float
     f2: float
     iou: float
     dice: float
@@ -76,14 +75,14 @@ def metrics_from_counts(c: ConfusionCounts) -> MetricReport:
     gt_pos = tp + fn
     if pred_pos == 0 and gt_pos == 0:
         one = 1.0
-        return MetricReport(accuracy, one, one, one, one, one, one)
+        return MetricReport(accuracy, one, one, one, one, one)
     precision = tp / pred_pos if pred_pos else 0.0
     recall = tp / gt_pos if gt_pos else 0.0
-    f1 = 2 * tp / (2 * tp + fp + fn)
     f2_den = 4 * precision + recall
     f2 = 5 * precision * recall / f2_den if f2_den > 0 else 0.0
     iou = tp / (tp + fp + fn)
-    return MetricReport(accuracy, precision, recall, f1, f2, iou, dice=f1)
+    dice = 2 * tp / (2 * tp + fp + fn)
+    return MetricReport(accuracy, precision, recall, f2, iou, dice)
 
 
 def evaluate_set(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> MetricReport:
@@ -102,12 +101,6 @@ def evaluate_set(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> MetricReport
 def mean_report(reports: Iterable[MetricReport]) -> MetricReport:
     reports = list(reports)
     k = len(reports)
-    return MetricReport(
-        accuracy=sum(r.accuracy for r in reports) / k,
-        precision=sum(r.precision for r in reports) / k,
-        recall=sum(r.recall for r in reports) / k,
-        f1=sum(r.f1 for r in reports) / k,
-        f2=sum(r.f2 for r in reports) / k,
-        iou=sum(r.iou for r in reports) / k,
-        dice=sum(r.dice for r in reports) / k,
-    )
+    return MetricReport(**{
+        f.name: sum(getattr(r, f.name) for r in reports) / k for f in fields(MetricReport)
+    })

@@ -74,7 +74,7 @@ def confusion_naive(pred, gt):
 
 
 def metrics_naive(tp, tn, fp, fn):
-    """The seven scores straight from their defining ratios.
+    """The six scores straight from their defining ratios (Dice is F1).
 
     Same degenerate-count conventions as the package: both-empty -> 1.0,
     one-empty -> 0.0 for the affected ratios.
@@ -82,15 +82,14 @@ def metrics_naive(tp, tn, fp, fn):
     total = tp + tn + fp + fn
     acc = (tp + tn) / total
     if tp + fp == 0 and tp + fn == 0:
-        return {"accuracy": acc, "precision": 1.0, "recall": 1.0, "f1": 1.0,
+        return {"accuracy": acc, "precision": 1.0, "recall": 1.0,
                 "f2": 1.0, "iou": 1.0, "dice": 1.0}
     prec = tp / (tp + fp) if tp + fp else 0.0
     rec = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * tp / (2 * tp + fp + fn)
     f2 = 5 * prec * rec / (4 * prec + rec) if 4 * prec + rec > 0 else 0.0
     iou = tp / (tp + fp + fn)
     dice = 2 * tp / (2 * tp + fp + fn)
-    return {"accuracy": acc, "precision": prec, "recall": rec, "f1": f1,
+    return {"accuracy": acc, "precision": prec, "recall": rec,
             "f2": f2, "iou": iou, "dice": dice}
 
 

@@ -55,7 +55,7 @@ def test_subcommands_end_to_end(tmp_path):
 
     cfg = cli.parse_config(config)
     ens = ensemble.load_ensemble(tmp_path / "ensemble" / "ensemble", cli.ensemble_spec(cfg, SEED))
-    _, test_ds = cli.split_dataset(cfg, cli.load_dataset(cfg, SEED), SEED)
+    _, test_ds = cli.load_split(cfg, SEED)
     report = ensemble.ensemble_evaluate(ens, list(test_ds))
     row = (tmp_path / "ensemble" / "results.csv").read_text().splitlines()[1]
     assert row == f"{cfg['name']}_sto," + ",".join(f"{v:.6f}" for v in report.csv_values())
@@ -88,6 +88,19 @@ class TestTrainIsAnEnsembleMember:
         for key, value in model.items():
             assert value.dtype == member[key].dtype, key
             np.testing.assert_array_equal(value, member[key], err_msg=key)
+
+    def test_kind_model_is_its_act_member(self, config, tmp_path):
+        """A kind name trains the member at the kind's pool index of the act
+        ensemble over the full pool, with that member's seed."""
+        with config.open("a") as f:
+            f.write("ensemble.mode=act\nensemble.size=3\nensemble.pool_size=17\n")
+        self.run("ensemble", config, tmp_path / "ensemble")
+        for i, kind in enumerate(["relu", "leaky_relu", "elu"]):
+            with config.open("a") as f:
+                f.write(f"model.activation={kind}\n")
+            self.run("train", config, tmp_path / kind)
+            model = (tmp_path / kind / "model.npz").read_bytes()
+            assert model == (tmp_path / "ensemble" / "ensemble" / f"member_{i:03d}.npz").read_bytes()
 
     def test_kind_name_sets_every_site(self, config, tmp_path):
         # train reads neither ensemble.mode nor ensemble.size, so invalid

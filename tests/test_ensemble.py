@@ -247,6 +247,25 @@ class TestTrainEnsemble:
             ensemble.train_ensemble(tiny_spec(), bad)
 
 
+class TestTrainMember:
+    @pytest.mark.parametrize("mode", ["sto", "act", "relu"])
+    def test_equals_the_ensemble_member(self, tiny_data, tmp_path, mode):
+        train, _ = tiny_data
+        spec = tiny_spec(mode=mode, size=3)
+        ens = ensemble.train_ensemble(spec, train)
+        for i, member in enumerate(ens.members):
+            model, history = ensemble.train_member(spec, train, i)
+            assert len(history) == spec.train.epochs
+            network.save_model(tmp_path / "model.npz", model)
+            network.save_model(tmp_path / "member.npz", member)
+            assert (tmp_path / "model.npz").read_bytes() == (tmp_path / "member.npz").read_bytes(), i
+
+    @pytest.mark.parametrize("index", [-1, 2, 3])
+    def test_build_member_rejects_an_index_outside_the_ensemble(self, index):
+        with pytest.raises(ValueError, match=rf"member index {index} is outside range\(2\)"):
+            ensemble.build_member(tiny_spec(size=2), index)
+
+
 class TestEvaluate:
     def test_singleton_matches_single_model(self, tiny_data):
         train, test = tiny_data

@@ -60,7 +60,7 @@ def _model():
 
 
 def _report():
-    return MetricReport(accuracy=0.5, precision=0.5, recall=0.5, f1=0.5, f2=0.5, iou=0.5, dice=0.5)
+    return MetricReport(accuracy=0.5, precision=0.5, recall=0.5, f2=0.5, iou=0.5, dice=0.5)
 
 
 WRITERS = {

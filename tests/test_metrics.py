@@ -56,15 +56,14 @@ class TestMetricsFromCounts:
         assert r.accuracy == 0.5
         assert r.precision == 0.5
         assert r.recall == 0.5
-        assert r.f1 == 0.5
         assert r.f2 == 0.5
         assert r.iou == pytest.approx(1 / 3)
         assert r.dice == 0.5
 
     def test_perfect_prediction(self):
         r = metrics_from_counts(ConfusionCounts(tp=10, tn=0, fp=0, fn=0))
-        assert (r.accuracy, r.precision, r.recall, r.f1, r.f2, r.iou, r.dice) == (
-            1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+        assert (r.accuracy, r.precision, r.recall, r.f2, r.iou, r.dice) == (
+            1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
         )
 
     def test_second_hand_case(self):
@@ -73,26 +72,26 @@ class TestMetricsFromCounts:
         assert r.dice == pytest.approx(2 / 3)
         assert r.precision == pytest.approx(2 / 3)
         assert r.recall == pytest.approx(2 / 3)
-        assert r.f2 == pytest.approx(2 / 3)  # p == r forces f1 == f2 == p
+        assert r.f2 == pytest.approx(2 / 3)  # p == r forces dice == f2 == p
         assert r.accuracy == 62 / 64
 
     def test_both_empty_convention(self):
         r = metrics_from_counts(ConfusionCounts(tp=0, tn=9, fp=0, fn=0))
-        assert (r.precision, r.recall, r.f1, r.f2, r.iou, r.dice) == (
-            1.0, 1.0, 1.0, 1.0, 1.0, 1.0,
+        assert (r.precision, r.recall, r.f2, r.iou, r.dice) == (
+            1.0, 1.0, 1.0, 1.0, 1.0,
         )
         assert r.accuracy == 1.0
 
     def test_one_empty_convention(self):
         # empty ground truth, non-empty prediction
         r = metrics_from_counts(ConfusionCounts(tp=0, tn=5, fp=3, fn=0))
-        assert (r.precision, r.recall, r.f1, r.f2, r.iou, r.dice) == (
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        assert (r.precision, r.recall, r.f2, r.iou, r.dice) == (
+            0.0, 0.0, 0.0, 0.0, 0.0,
         )
         # empty prediction, non-empty ground truth
         r = metrics_from_counts(ConfusionCounts(tp=0, tn=5, fp=0, fn=3))
-        assert (r.precision, r.recall, r.f1, r.f2, r.iou, r.dice) == (
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        assert (r.precision, r.recall, r.f2, r.iou, r.dice) == (
+            0.0, 0.0, 0.0, 0.0, 0.0,
         )
 
     def test_zero_total_rejected(self):
@@ -125,11 +124,11 @@ class TestIdentities:
             if tp + tn + fp + fn == 0:
                 continue
             r = metrics_from_counts(ConfusionCounts(tp, tn, fp, fn))
-            assert r.dice == r.f1
             if tp + fp + fn > 0:  # non-degenerate
+                assert r.dice == 2 * tp / (2 * tp + fp + fn)  # F1
                 assert r.dice == pytest.approx(2 * r.iou / (1 + r.iou), abs=1e-12)
             assert r.iou <= r.dice
-            for v in (r.accuracy, r.precision, r.recall, r.f1, r.f2, r.iou, r.dice):
+            for v in (r.accuracy, r.precision, r.recall, r.f2, r.iou, r.dice):
                 assert 0.0 <= v <= 1.0
 
 
