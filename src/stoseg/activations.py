@@ -27,6 +27,10 @@ with prelu(a) = relu(x) + a*(x - relu(x)) and
     hat(c, w)  = relu(x-c+w) - 2*relu(x-c) + relu(x-c-w)   (= max(0, w-|x-c|))
     wave(c, w) = hat(c, w) - hat(c+2w, w)
 
+A fixed kind is its learnable formula at beta = 1, with no parameter rows;
+the two forms share one forward and backward, and only a learnable one
+computes a beta gradient.
+
 Hat/wave (center, width) pairs follow a dyadic schedule over [0, 2*MAX_INPUT]:
 (1, 1), (0.5, 0.5), (1.5, 0.5), then the four quarter-width hats from 0.25
 to 1.75; melu4/galu4 take the first three. APLU hinges b_s are evenly spaced
@@ -131,8 +135,11 @@ class ActivationState:
     """One activation site: a kind plus its learnable per-channel scalars."""
 
     kind: ActivationKind
-    channels: int
     params: np.ndarray  # (param_count, channels); mutated in place by training
+
+    @property
+    def channels(self) -> int:
+        return self.params.shape[1]
 
 
 def _bc(state: ActivationState, row: int) -> np.ndarray:
@@ -251,30 +258,21 @@ def _bwd_pdelu(x, st, up):
     return np.multiply(up, slope, out=slope), dalpha[None, :]
 
 
-def _swish_parts(x, beta):
+def _beta(st):
+    """Row 0 of a learnable form, or 1.0 for its fixed form (no rows)."""
+    return _bc(st, 0) if len(st.params) else 1.0
+
+
+def _fwd_swish(x, st):
+    return x * _sigmoid(_beta(st) * x)
+
+
+def _bwd_swish(x, st, up):
+    beta = _beta(st)
     s = _sigmoid(beta * x)
-    return s, x * s
-
-
-def _fwd_swish_fixed(x, st):
-    return _swish_parts(x, 1.0)[1]
-
-
-def _bwd_swish_fixed(x, st, up):
-    s, y = _swish_parts(x, 1.0)
-    return up * (s + y * (1.0 - s)), None
-
-
-def _fwd_swish_learn(x, st):
-    return _swish_parts(x, _bc(st, 0))[1]
-
-
-def _bwd_swish_learn(x, st, up):
-    beta = _bc(st, 0)
-    s, y = _swish_parts(x, beta)
-    dx = up * (s + beta * y * (1.0 - s))
-    dbeta = _sum_cnhw(up * x * y * (1.0 - s))
-    return dx, dbeta[None, :]
+    y = x * s
+    dbeta = _sum_cnhw(up * x * y * (1.0 - s))[None, :] if len(st.params) else None
+    return up * (s + beta * y * (1.0 - s)), dbeta
 
 
 def _fwd_srs(x, st):
@@ -299,31 +297,16 @@ def _bwd_srs(x, st, up):
     return dx, np.stack([dalpha, dbeta])
 
 
-def _mish_parts(x, beta):
-    s = _sigmoid(beta * x)
-    u = np.tanh(_softplus(beta * x))
-    return s, u
+def _fwd_mish(x, st):
+    return x * np.tanh(_softplus(_beta(st) * x))
 
 
-def _fwd_mish_fixed(x, st):
-    return x * _mish_parts(x, 1.0)[1]
-
-
-def _bwd_mish_fixed(x, st, up):
-    s, u = _mish_parts(x, 1.0)
-    return up * (u + x * (1.0 - u * u) * s), None
-
-
-def _fwd_mish_learn(x, st):
-    return x * _mish_parts(x, _bc(st, 0))[1]
-
-
-def _bwd_mish_learn(x, st, up):
-    beta = _bc(st, 0)
-    s, u = _mish_parts(x, beta)
-    dx = up * (u + beta * x * (1.0 - u * u) * s)
-    dbeta = _sum_cnhw(up * x * x * (1.0 - u * u) * s)
-    return dx, dbeta[None, :]
+def _bwd_mish(x, st, up):
+    bx = _beta(st) * x
+    s = _sigmoid(bx)
+    u = np.tanh(_softplus(bx))
+    dbeta = _sum_cnhw(up * x * x * (1.0 - u * u) * s)[None, :] if len(st.params) else None
+    return up * (u + bx * (1.0 - u * u) * s), dbeta
 
 
 def _fwd_soft_learn(x, st):
@@ -464,12 +447,12 @@ _KINDS: dict[ActivationKind, _Kind] = {
     ActivationKind.GALU8: _melu_galu_kind(8, _wave_terms),
     ActivationKind.PDELU: _Kind((1.0,), _fwd_pdelu, _bwd_pdelu,
                                 lambda p: (0.0, -1.0 / PDELU_SLOPE)),
-    ActivationKind.SWISH_FIXED: _Kind((), _fwd_swish_fixed, _bwd_swish_fixed, _smooth),
-    ActivationKind.SWISH_LEARNABLE: _Kind((1.0,), _fwd_swish_learn, _bwd_swish_learn, _smooth),
+    ActivationKind.SWISH_FIXED: _Kind((), _fwd_swish, _bwd_swish, _smooth),
+    ActivationKind.SWISH_LEARNABLE: _Kind((1.0,), _fwd_swish, _bwd_swish, _smooth),
     ActivationKind.SOFT_ROOT_SIGN: _Kind((SRS_ALPHA_INIT, SRS_BETA_INIT), _fwd_srs, _bwd_srs,
                                          _smooth),
-    ActivationKind.MISH_FIXED: _Kind((), _fwd_mish_fixed, _bwd_mish_fixed, _smooth),
-    ActivationKind.MISH_LEARNABLE: _Kind((1.0,), _fwd_mish_learn, _bwd_mish_learn, _smooth),
+    ActivationKind.MISH_FIXED: _Kind((), _fwd_mish, _bwd_mish, _smooth),
+    ActivationKind.MISH_LEARNABLE: _Kind((1.0,), _fwd_mish, _bwd_mish, _smooth),
     ActivationKind.SOFT_LEARNABLE: _Kind((1.0,), _fwd_soft_learn, _bwd_soft_learn, _smooth),
 }
 
@@ -482,16 +465,14 @@ def act_init(kind: ActivationKind, channels: int, dtype=np.float32) -> Activatio
         raise ValueError(f"channels must be >= 1, got {channels}")
     kind = ActivationKind(kind)
     init = np.asarray(_KINDS[kind].init, dtype=dtype).reshape(-1, 1)
-    return ActivationState(kind=kind, channels=channels, params=np.repeat(init, channels, axis=1))
+    return ActivationState(kind=kind, params=np.repeat(init, channels, axis=1))
 
 
 def _check_channels(x: np.ndarray, state: ActivationState) -> None:
     if x.ndim != 4:
         raise ValueError(f"input must be 4-D (n, c, h, w), got ndim {x.ndim}")
     if x.shape[1] != state.channels:
-        raise ValueError(
-            f"input channels {x.shape[1]} != state channels {state.channels}"
-        )
+        raise ValueError(f"input channels {x.shape[1]} != state channels {state.channels}")
 
 
 def act_forward(x: np.ndarray, state: ActivationState) -> np.ndarray:
@@ -514,7 +495,7 @@ def act_forward_variants(x: np.ndarray, state: ActivationState, values: np.ndarr
         raise ValueError(f"parameter variants of shape {values.shape}, expected "
                          f"(B,) + {state.params.shape}")
     nb, (n, c, h, w) = len(values), x.shape
-    folded = ActivationState(state.kind, nb * c,
+    folded = ActivationState(state.kind,
                              values.transpose(1, 0, 2).reshape(len(state.params), nb * c))
     y = act_forward(np.tile(x, (1, nb, 1, 1)), folded)
     return y.reshape(n, nb, c, h, w).swapaxes(0, 1)
@@ -531,10 +512,8 @@ def act_backward(x: np.ndarray, state: ActivationState, upstream: np.ndarray):
         raise ValueError(f"upstream shape {upstream.shape} != input shape {x.shape}")
     dx, dparams = _KINDS[state.kind].backward(x, state, upstream)
     if dparams is None:
-        dparams = np.zeros((0, state.channels), dtype=state.params.dtype)
-    else:
-        dparams = np.asarray(dparams, dtype=state.params.dtype)
-    return dx, dparams
+        dparams = np.zeros((0, state.channels))
+    return dx, np.asarray(dparams, dtype=state.params.dtype)
 
 
 def kink_points(state: ActivationState) -> np.ndarray:

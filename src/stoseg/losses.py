@@ -1,12 +1,13 @@
 """Training losses, SGD with momentum, and the training loop.
 
-Both losses take post-softmax probabilities and return ``(loss, grad)``
-with the gradient taken with respect to those probabilities; the caller
-chains it through the softmax backward pass.
+Both losses take a batch (n, c, h, w) of post-softmax probabilities and
+return ``(loss, grad)`` with the gradient taken with respect to those
+probabilities; the caller chains it through the softmax backward pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +24,7 @@ _TRAIN_TAG = 0x7121
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a non-finite loss value appears during training."""
+    """Raised when a non-finite loss or parameter appears during training."""
 
 
 @dataclass
@@ -40,8 +41,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.momentum) and self.momentum >= 0):
+            raise ValueError(f"momentum must be finite and >= 0, got {self.momentum}")
+        w = self.class_weights
+        if len(w) != 2 or not all(math.isfinite(v) and v > 0 for v in w):
+            raise ValueError(f"class weights must be two finite values > 0, got {w}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.loss not in ("dice", "weighted_ce"):
@@ -49,12 +55,11 @@ class TrainConfig:
 
 
 def _check_probs_target(probs, target):
-    probs = np.asarray(probs)
-    target = np.asarray(target)
+    probs, target = np.asarray(probs), np.asarray(target)
     if probs.shape != target.shape:
         raise ValueError(f"probs shape {probs.shape} != target shape {target.shape}")
-    if probs.ndim not in (3, 4):
-        raise ValueError(f"expected (c, h, w) or (n, c, h, w), got ndim {probs.ndim}")
+    if probs.ndim != 4:
+        raise ValueError(f"expected a batch (n, c, h, w), got ndim {probs.ndim}")
     return probs, target
 
 
@@ -73,8 +78,6 @@ def dice_per_sample(probs: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Soft dice loss of each map of a batch (n, c, h, w), shape (n,): the
     values whose mean ``dice_loss`` returns."""
     probs, target = _check_probs_target(probs, target)
-    if probs.ndim != 4:
-        raise ValueError(f"expected a batch (n, c, h, w), got ndim {probs.ndim}")
     return _dice_parts(probs, target)[0]
 
 
@@ -82,29 +85,22 @@ def dice_loss(probs: np.ndarray, target: np.ndarray):
     """Soft dice loss, macro-averaged over the two classes.
 
     L = 1 - mean_c (2*sum(p*g) + eps) / (sum(p) + sum(g) + eps), eps = 1e-5.
-    Accepts one map (c, h, w) or a batch (n, c, h, w); batches average the
-    per-sample losses (``dice_per_sample``). Returns (loss, dL/dprobs).
+    The loss of a batch (n, c, h, w) is the mean of its per-sample losses
+    (``dice_per_sample``). Returns (loss, dL/dprobs).
     """
     probs, target = _check_probs_target(probs, target)
-    squeeze = probs.ndim == 3
-    if squeeze:
-        probs, target = probs[None], target[None]
     n, c = probs.shape[0], probs.shape[1]
     per_sample, num, den = _dice_parts(probs, target)
     loss = float(np.mean(per_sample))
     scale = 1.0 / (n * c)
     grad = -scale * (2.0 * target * den[:, :, None, None] - num[:, :, None, None]) \
         / (den * den)[:, :, None, None]
-    grad = grad.astype(probs.dtype, copy=False)
-    return loss, (grad[0] if squeeze else grad)
+    return loss, grad.astype(probs.dtype, copy=False)
 
 
 def weighted_ce(probs: np.ndarray, target: np.ndarray, class_weights):
-    """Per-pixel cross entropy with one positive weight per class."""
+    """Per-pixel cross entropy of a batch with one positive weight per class."""
     probs, target = _check_probs_target(probs, target)
-    squeeze = probs.ndim == 3
-    if squeeze:
-        probs, target = probs[None], target[None]
     w = np.asarray(class_weights, dtype=np.float64)
     if w.shape != (probs.shape[1],):
         raise ValueError(
@@ -116,8 +112,7 @@ def weighted_ce(probs: np.ndarray, target: np.ndarray, class_weights):
     wb = w.reshape(1, -1, 1, 1).astype(probs.dtype)
     scale = 1.0 / (n * h * wd)
     loss = float(-(wb * target * np.log(probs + CE_EPS)).sum() * scale)
-    grad = (-(wb * target) / (probs + CE_EPS) * scale).astype(probs.dtype, copy=False)
-    return loss, (grad[0] if squeeze else grad)
+    return loss, (-(wb * target) / (probs + CE_EPS) * scale).astype(probs.dtype, copy=False)
 
 
 def sgd_step(
@@ -159,7 +154,9 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
     Per epoch: a fresh stream derived from the shuffle seed orders the
     samples and (when enabled) seeds per-sample augmentation; minibatches
     of ``batch_size`` follow that order, keeping the last short batch.
-    Returns ``(model, history)`` with one mean sample loss per epoch.
+    Returns ``(model, history)`` with one mean sample loss per epoch. Raises
+    ``TrainingDiverged`` on a non-finite loss before a step, and on a
+    non-finite parameter after the last step.
     """
     samples = list(train_set)
     if not samples:
@@ -198,4 +195,7 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
             sgd_step(params, grads, config.learning_rate, config.momentum, velocity)
             total += loss * len(idxs)
         history.append(total / n)
+    for key, p in params.items():
+        if not np.all(np.isfinite(p)):
+            raise TrainingDiverged(f"non-finite parameter {key!r} after the last step")
     return model, history

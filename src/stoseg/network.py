@@ -140,20 +140,19 @@ def assign_activations(
 ) -> tuple[ActivationKind, ...]:
     """Per-site activation kinds for one ensemble member.
 
-    ``act``: every site gets pool[member_index]. ``sto``: each site is an
-    independent uniform draw from the pool, seeded by ``seed``. ``relu``:
-    every site is ReLU regardless of the other arguments.
+    Each site is an independent uniform draw, seeded by ``seed``, from the
+    kinds the mode allows: the whole pool for ``sto``, pool[member_index]
+    alone for ``act``, and ReLU alone for ``relu``. A draw from one kind
+    always returns it, so ``act`` and ``relu`` fill every site with it.
     """
     if mode not in ASSIGNMENT_MODES:
         raise ValueError(f"unknown assignment mode {mode!r}")
-    if mode == "relu":
-        return tuple([ActivationKind.RELU] * site_count)
     if mode == "act":
         if not 0 <= member_index < len(pool):
-            raise ValueError(
-                f"member_index {member_index} out of range for pool of {len(pool)}"
-            )
-        return tuple([pool[member_index]] * site_count)
+            raise ValueError(f"member_index {member_index} out of range for pool of {len(pool)}")
+        pool = [pool[member_index]]
+    elif mode == "relu":
+        pool = [ActivationKind.RELU]
     rng = SplitMix64(seed)
     return tuple(pool[rng.below(len(pool))] for _ in range(site_count))
 
@@ -161,7 +160,6 @@ def assign_activations(
 @dataclass
 class Model:
     config: NetworkConfig
-    assignment: tuple[ActivationKind, ...]
     params: dict[str, np.ndarray]  # "<layer>.w" / "<layer>.b"
     acts: list[ActivationState]
     init_seed: int
@@ -172,6 +170,10 @@ class Model:
     def __post_init__(self):
         self._stages = _stages(self.config)
         self._head = _head(self.config)
+
+    @property
+    def assignment(self) -> tuple[ActivationKind, ...]:
+        return tuple(st.kind for st in self.acts)
 
     @property
     def dtype(self):
@@ -199,9 +201,7 @@ def build_model(
     """
     assignment = tuple(ActivationKind(k) for k in assignment)
     if len(assignment) != config.site_count:
-        raise ValueError(
-            f"assignment length {len(assignment)} != site count {config.site_count}"
-        )
+        raise ValueError(f"assignment length {len(assignment)} != site count {config.site_count}")
     rng = SplitMix64(init_seed)
     params: dict[str, np.ndarray] = {}
     for name, spec in _conv_layers(config):
@@ -210,12 +210,9 @@ def build_model(
         w = rng.normal_array(shape) * np.sqrt(2.0 / fan_in)
         params[f"{name}.w"] = w.astype(dtype)
         params[f"{name}.b"] = np.zeros(spec.out_channels, dtype=dtype)
-    acts = [
-        act_init(kind, ch, dtype=dtype)
-        for kind, ch in zip(assignment, config.site_channels())
-    ]
-    return Model(config=config, assignment=assignment, params=params,
-                 acts=acts, init_seed=init_seed)
+    acts = [act_init(kind, ch, dtype=dtype)
+            for kind, ch in zip(assignment, config.site_channels())]
+    return Model(config=config, params=params, acts=acts, init_seed=init_seed)
 
 
 def _conv(model: Model, layer: Layer, x: np.ndarray, variants) -> np.ndarray:
@@ -443,7 +440,5 @@ def load_model(path) -> Model:
         except (EOFError, zipfile.BadZipFile) as exc:
             raise ValueError(f"{path}: unreadable checkpoint file: {exc!r}") from exc
     params = {k[len("param:"):]: v for k, v in arrays.items() if k.startswith("param:")}
-    acts = [ActivationState(kind=kind, channels=ch, params=arrays[f"act:{i}"])
-            for i, (kind, ch) in enumerate(zip(assignment, config.site_channels()))]
-    return Model(config=config, assignment=assignment, params=params,
-                 acts=acts, init_seed=init_seed)
+    acts = [ActivationState(kind, arrays[f"act:{i}"]) for i, kind in enumerate(assignment)]
+    return Model(config=config, params=params, acts=acts, init_seed=init_seed)

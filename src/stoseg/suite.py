@@ -157,11 +157,12 @@ def check_softmax(seed: int) -> float:
 
 def _check_loss(loss_fn, seed: int) -> float:
     """Gradient of ``loss_fn(probs, target) -> (loss, dprobs)`` with respect to
-    probabilities in [0.1, 0.9] against a random two-class 4x4 target."""
+    probabilities in [0.1, 0.9] against a random two-class 4x4 target, as a
+    batch of one."""
     rng = SplitMix64(derive_seed(seed, 0x10))
-    probs = 0.1 + 0.8 * rng.uniform_array(2 * 4 * 4).reshape(2, 4, 4)
+    probs = 0.1 + 0.8 * rng.uniform_array(2 * 4 * 4).reshape(1, 2, 4, 4)
     fg = rng.uniform_array(4 * 4).reshape(4, 4) < 0.4
-    target = np.stack([1.0 - fg, fg * 1.0])
+    target = np.stack([1.0 - fg, fg * 1.0])[None]
 
     def fn(pv):
         loss, grad = loss_fn(pv, target)

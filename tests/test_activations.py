@@ -178,6 +178,35 @@ class TestBackward:
             act_backward(np.zeros((1, 1, 2, 2)), st, np.zeros((1, 1, 2, 3)))
 
 
+class TestFixedFormIsLearnableAtOne:
+    PAIRS = [(ActivationKind.SWISH_FIXED, ActivationKind.SWISH_LEARNABLE),
+             (ActivationKind.MISH_FIXED, ActivationKind.MISH_LEARNABLE)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("fixed, learnable", PAIRS)
+    def test_bit_identical_at_beta_one(self, fixed, learnable, dtype):
+        rng = SplitMix64(11)
+        x = (4.0 * rng.normal_array((2, 3, 5, 5))).astype(dtype)
+        x[0, 0, 0, :3] = [0.0, -0.0, 60.0]
+        up = rng.normal_array(x.shape).astype(dtype)
+        st_f, st_l = act_init(fixed, 3, dtype=dtype), act_init(learnable, 3, dtype=dtype)
+        np.testing.assert_array_equal(st_l.params, 1.0)
+        y_f, y_l = act_forward(x, st_f), act_forward(x, st_l)
+        dx_f, dp_f = act_backward(x, st_f, up)
+        dx_l, dp_l = act_backward(x, st_l, up)
+        assert y_f.dtype == y_l.dtype == dx_f.dtype == dx_l.dtype == dtype
+        assert y_f.tobytes() == y_l.tobytes()
+        assert dx_f.tobytes() == dx_l.tobytes()
+        assert dp_f.shape == (0, 3) and dp_l.shape == (1, 3)
+
+    @pytest.mark.parametrize("kind", [k for k in ALL_KINDS if PARAM_COUNTS[k] == 0])
+    def test_fixed_kind_parameter_gradient_is_empty(self, kind):
+        st = act_init(kind, 4, dtype=np.float64)
+        x = SplitMix64(12).normal_array((2, 4, 3, 3))
+        _, dp = act_backward(x, st, np.ones_like(x))
+        assert dp.shape == (0, 4) and dp.dtype == np.float64
+
+
 class TestFixedKnotOracle:
     @pytest.mark.parametrize("kind", FIXED_KNOT_KINDS)
     def test_matches_scalar_oracle(self, kind):

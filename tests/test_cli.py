@@ -163,6 +163,15 @@ class TestMainErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: model.activation must be")
 
+    def test_nan_learning_rate_exits_1_without_an_ensemble(self, tmp_path, capsys):
+        path = write_config(tmp_path, "data.synth_count=12", "data.synth_size=16",
+                            "split.train=8", "split.test=4", "net.input_size=16",
+                            "train.epochs=1", "ensemble.size=2", "train.lr=nan")
+        out = tmp_path / "out"
+        assert cli.main(["ensemble", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: learning rate must be finite")
+        assert not (out / "ensemble").exists() and not (out / "results.csv").exists()
+
     def test_parallel_below_one_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, "data.synth_count=4", "data.synth_size=16", "split.train=2",
                             "split.test=2", "net.input_size=16", "ensemble.size=2")

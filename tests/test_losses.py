@@ -25,14 +25,14 @@ def half_foreground_target(h=8, w=8):
 
 class TestDiceLoss:
     def test_perfect_overlap_is_zero(self):
-        target = half_foreground_target()
+        target = half_foreground_target()[None]
         loss, _ = dice_loss(target.copy(), target)
         assert loss == 0.0  # the eps terms cancel exactly when p == g
 
     def test_uniform_half_probs(self):
-        target = half_foreground_target()
+        target = half_foreground_target()[None]
         probs = np.full_like(target, 0.5)
-        n = target[0].size
+        n = target[0, 0].size
         # direct substitution: per class, num = 2*(0.5*n/2) + eps, den = n + eps
         expected = 1.0 - (0.5 * n + DICE_EPS) / (n + DICE_EPS)
         loss, _ = dice_loss(probs, target)
@@ -48,28 +48,28 @@ class TestDiceLoss:
         probs_fg = rng.uniform_array(64).reshape(8, 8)
         probs = np.stack([1 - probs_fg, probs_fg])
         target = half_foreground_target()
-        loss, _ = dice_loss(probs, target)
+        loss, _ = dice_loss(probs[None], target[None])
         perm = list(range(64))
         SplitMix64(5).shuffle(perm)
         p2 = probs.reshape(2, -1)[:, perm].reshape(2, 8, 8)
         t2 = target.reshape(2, -1)[:, perm].reshape(2, 8, 8)
-        loss2, _ = dice_loss(p2, t2)
+        loss2, _ = dice_loss(p2[None], t2[None])
         assert loss == pytest.approx(loss2, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            dice_loss(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)))
+            dice_loss(np.zeros((1, 2, 4, 4)), np.zeros((1, 2, 4, 5)))
 
     def test_batch_is_mean_of_samples(self):
         rng = SplitMix64(6)
         t1, t2 = half_foreground_target(), half_foreground_target()
         p1 = rng.uniform_array(128).reshape(2, 8, 8)
         p2 = rng.uniform_array(128).reshape(2, 8, 8)
-        l1, g1 = dice_loss(p1, t1)
-        l2, g2 = dice_loss(p2, t2)
+        l1, g1 = dice_loss(p1[None], t1[None])
+        l2, g2 = dice_loss(p2[None], t2[None])
         lb, gb = dice_loss(np.stack([p1, p2]), np.stack([t1, t2]))
         assert lb == pytest.approx((l1 + l2) / 2, abs=1e-12)
-        np.testing.assert_allclose(gb, np.stack([g1, g2]) / 2, atol=1e-12)
+        np.testing.assert_allclose(gb, np.concatenate([g1, g2]) / 2, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_per_sample_losses_are_each_map_alone(self, n):
@@ -82,19 +82,27 @@ class TestDiceLoss:
         per = dice_per_sample(probs, target)
         assert per.shape == (n,)
         assert float(np.mean(per)) == dice_loss(probs, target)[0]
-        assert [float(v) for v in per] == [dice_loss(p, t)[0] for p, t in zip(probs, target)]
+        assert [float(v) for v in per] == [dice_loss(p[None], t[None])[0]
+                                           for p, t in zip(probs, target)]
         with pytest.raises(ValueError, match="batch"):
             dice_per_sample(probs[0], target[0])
+
+    def test_single_map_rejected(self):
+        target = half_foreground_target()
+        with pytest.raises(ValueError, match="batch"):
+            dice_loss(target.copy(), target)
+        with pytest.raises(ValueError, match="batch"):
+            weighted_ce(target.copy(), target, (1.0, 1.0))
 
 
 class TestWeightedCE:
     def test_correct_class_probability_one(self):
-        target = half_foreground_target()
+        target = half_foreground_target()[None]
         loss, _ = weighted_ce(target.copy(), target, (1.0, 1.0))
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_probs_give_ln2(self):
-        target = half_foreground_target()
+        target = half_foreground_target()[None]
         probs = np.full_like(target, 0.5)
         loss, _ = weighted_ce(probs, target, (1.0, 1.0))
         assert loss == pytest.approx(np.log(2.0), abs=1e-9)
@@ -103,7 +111,8 @@ class TestWeightedCE:
         target = half_foreground_target()
         rng = SplitMix64(8)
         fg = 0.2 + 0.6 * rng.uniform_array(64).reshape(8, 8)
-        probs = np.stack([1 - fg, fg])
+        probs = np.stack([1 - fg, fg])[None]
+        target = target[None]
         base, _ = weighted_ce(probs, target, (1.0, 1.0))
         bg_only, _ = weighted_ce(probs, target, (1.0, 1e-9))
         doubled, _ = weighted_ce(probs, target, (1.0, 2.0))
@@ -112,7 +121,8 @@ class TestWeightedCE:
 
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            weighted_ce(np.full((2, 2, 2), 0.5), half_foreground_target(2, 2), (1.0, 0.0))
+            weighted_ce(np.full((1, 2, 2, 2), 0.5), half_foreground_target(2, 2)[None],
+                        (1.0, 0.0))
 
     def test_gradient_matches_central_differences(self):
         worst = max(suite.check_weighted_ce(s) for s in range(20))
@@ -181,6 +191,27 @@ class TestTrainModel:
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning rate"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("momentum", [-0.1, np.nan, np.inf])
+    def test_bad_momentum_rejected(self, momentum):
+        with pytest.raises(ValueError, match="momentum"):
+            TrainConfig(momentum=momentum)
+
+    def test_zero_momentum_accepted(self):
+        assert TrainConfig(momentum=0.0).momentum == 0.0
+
+    @pytest.mark.parametrize("weights", [(1.0, -2.0), (0.0, 1.0), (1.0, np.nan),
+                                         (np.inf, 1.0), (1.0,), (1.0, 1.0, 1.0)])
+    def test_bad_class_weights_rejected(self, weights):
+        # checked for either loss: dice ignores the weights, so a bad value
+        # there would pass unseen
+        with pytest.raises(ValueError, match="class weights"):
+            TrainConfig(class_weights=weights)
+
     def test_empty_dataset_rejected(self):
         _, model = tiny_setup(3)
         with pytest.raises(ValueError, match="empty"):
@@ -198,6 +229,22 @@ class TestTrainModel:
         model.params["stem.w"][...] = np.inf
         with pytest.raises(TrainingDiverged, match="epoch 0, batch 0"):
             train_model(model, samples, TrainConfig(epochs=1, batch_size=4))
+
+    def test_nonfinite_last_step_raises_naming_the_parameter(self, monkeypatch):
+        samples, model = tiny_setup(7, n=8)
+        backward, calls = network.backward, []
+
+        def last_step_inf(model, cache, dprobs):
+            grads = backward(model, cache, dprobs)
+            calls.append(1)
+            if len(calls) == 4:  # 2 epochs of 2 batches: the last step
+                grads["head.b"] = np.full_like(grads["head.b"], np.inf)
+            return grads
+
+        monkeypatch.setattr(network, "backward", last_step_inf)
+        with pytest.raises(TrainingDiverged, match="'head.b'"):
+            train_model(model, samples, TrainConfig(epochs=2, batch_size=4))
+        assert len(calls) == 4
 
     def test_weighted_ce_training_runs(self):
         samples, model = tiny_setup(6)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from stoseg import cli, losses, network, ops, suite
-from stoseg.activations import ActivationKind, act_forward, default_pool
+from stoseg.activations import ActivationKind, act_forward, act_init, default_pool
 from stoseg.rng import SplitMix64
 
 
@@ -481,6 +481,20 @@ class TestCheckpoint:
             np.testing.assert_array_equal(m.params[k], m2.params[k])
         for a, b in zip(m.acts, m2.acts):
             np.testing.assert_array_equal(a.params, b.params)
+
+    def test_loaded_sites_read_kind_and_channels_from_their_arrays(self, tmp_path):
+        cfg = small_config()
+        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 5)
+        network.save_model(tmp_path / "m.npz", network.build_model(cfg, asn, 5))
+        m = network.load_model(tmp_path / "m.npz")
+        with np.load(tmp_path / "m.npz") as z:
+            shapes = [z[f"act:{i}"].shape for i in range(cfg.site_count)]
+        assert [st.params.shape for st in m.acts] == shapes
+        assert tuple(st.channels for st in m.acts) == cfg.site_channels()
+        assert m.assignment == asn
+        m.acts[0] = act_init(ActivationKind.ELU, 3)
+        assert m.assignment == (ActivationKind.ELU,) + asn[1:]
+        assert m.acts[0].channels == 3
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         cfg = small_config()
