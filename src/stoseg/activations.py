@@ -518,5 +518,5 @@ def act_backward(x: np.ndarray, state: ActivationState, upstream: np.ndarray):
 
 def kink_points(state: ActivationState) -> np.ndarray:
     """Locations where the function is non-smooth (channel 0's parameters)."""
-    p = state.params[:, 0] if state.params.size else np.zeros(0)
+    p = state.params[:, 0]
     return np.unique(np.asarray(_KINDS[state.kind].kinks(p), dtype=np.float64))

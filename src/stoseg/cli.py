@@ -4,7 +4,8 @@ Subcommands: ``synth`` (emit a dataset in the PNM layout), ``train`` (one
 ensemble member), ``eval`` (checkpoint against a test set), ``ensemble``
 (train and evaluate an ensemble), ``gradcheck`` (the full gradient suite).
 Every run writes the fully resolved config next to its outputs, and all
-randomness flows from the single master seed.
+randomness flows from the single master seed. A run checks its config,
+checkpoint and data before it writes ``config.resolved``.
 
 ``train`` writes the bytes of one ``ensemble`` member file, trained with
 that member's seed (for member i, the i-th output of the master seed's
@@ -203,8 +204,8 @@ def _prepare_out(cfg) -> Path:
 
 
 def cmd_synth(cfg) -> int:
-    out = _prepare_out(cfg)
     ds = load_dataset({**cfg, "data.source": "synth"}, _as_int(cfg, "seed"))
+    out = _prepare_out(cfg)
     data_mod.save_dataset(ds, out / "dataset")
     print(f"wrote {len(ds)} samples to {out / 'dataset'}")
     return 0
@@ -215,7 +216,6 @@ def _resized(samples, size: int) -> list[data_mod.Sample]:
 
 
 def cmd_train(cfg) -> int:
-    out = _prepare_out(cfg)
     seed = _as_int(cfg, "seed")
     choice = cfg["model.activation"]
     if choice == "sto":
@@ -228,6 +228,7 @@ def cmd_train(cfg) -> int:
         member = {"ensemble.mode": "act", "ensemble.pool_size": str(len(pool))}
     spec = ensemble_spec({**cfg, **member, "ensemble.size": str(index + 1)}, seed)
     train_ds, _ = load_split(cfg, seed)
+    out = _prepare_out(cfg)
     model, history = ens_mod.train_member(spec, _resized(train_ds, spec.network.input_size), index)
     network.save_model(out / "model.npz", model)
     write_loss_history(out / "loss_history.csv", history)
@@ -237,9 +238,9 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_eval(cfg, checkpoint: str) -> int:
-    out = _prepare_out(cfg)
     model = network.load_model(checkpoint)
     _, test_ds = load_split(cfg, _as_int(cfg, "seed"))
+    out = _prepare_out(cfg)
     report = ens_mod.evaluate_model(model, list(test_ds))
     write_results_csv(out / "results.csv", [(cfg["name"], report)])
     print(f"{cfg['name']}: dice {report.dice:.4f}, iou {report.iou:.4f}")
@@ -247,10 +248,10 @@ def cmd_eval(cfg, checkpoint: str) -> int:
 
 
 def cmd_ensemble(cfg, parallel: int) -> int:
-    out = _prepare_out(cfg)
     seed = _as_int(cfg, "seed")
     spec = ensemble_spec(cfg, seed)
     train_ds, test_ds = load_split(cfg, seed)
+    out = _prepare_out(cfg)
     ens = ens_mod.train_ensemble(spec, _resized(train_ds, spec.network.input_size), parallel)
     report = ens_mod.ensemble_evaluate(ens, list(test_ds))
     row_name = f"{cfg['name']}_{spec.mode}"

@@ -1,6 +1,6 @@
 """Small encoder-decoder segmentation network with a dilated-conv pyramid.
 
-The encoder is one table, ``_stages(config)``: an ordered list of stages,
+The encoder is one table, ``NetworkConfig.stages``: an ordered list of stages,
 each a list of ``(name, ConvSpec)`` branches. Every branch of a stage reads
 the previous stage's output (the first stage reads the image) and feeds one
 activation site. Sites are numbered in table order, and a stage's output is
@@ -36,7 +36,8 @@ before, those pages went back to the kernel and were faulted in again for
 every block.
 
 Gradients are exchanged as a "GradMap": a plain dict from parameter name
-("stem.w", "act0.params", ...) to an array of the parameter's shape.
+("stem.w", "act0.params", ...) to an array of the parameter's shape. Every
+activation site has an entry, which is (0, C) for a fixed kind.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ import io
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,32 +105,36 @@ class NetworkConfig:
 
     def site_channels(self) -> tuple[int, ...]:
         """Channels of each activation site, in site order."""
-        return tuple(spec.out_channels for stage in _stages(self) for _, spec in stage)
+        return tuple(spec.out_channels for stage in self.stages for _, spec in stage)
 
+    # cached_property writes the instance __dict__, which a frozen dataclass
+    # allows; equality, hashing and asdict read only the fields
+    @cached_property
+    def stages(self) -> tuple[tuple[Layer, ...], ...]:
+        """The encoder as data: stages of branches, each branch one conv layer
+        followed by one activation site (see the module docstring)."""
+        return (
+            (("stem", ops.ConvSpec(self.stem_width, 3, 3, 3, padding=1)),),
+            (("down1", ops.ConvSpec(self.down_width, self.stem_width, 3, 3, stride=2, padding=1)),),
+            (("down2", ops.ConvSpec(self.down_width, self.down_width, 3, 3, stride=2, padding=1)),),
+            tuple((f"aspp{i}", ops.ConvSpec(self.aspp_width, self.down_width, 3, 3,
+                                            padding=d, dilation=d))
+                  for i, d in enumerate(self.aspp_dilations)),
+            (("fuse", ops.ConvSpec(self.fuse_width,
+                                   self.aspp_width * len(self.aspp_dilations), 1, 1)),),
+        )
 
-def _stages(cfg: NetworkConfig) -> list[list[Layer]]:
-    """The encoder as data: stages of branches, each branch one conv layer
-    followed by one activation site (see the module docstring)."""
-    return [
-        [("stem", ops.ConvSpec(cfg.stem_width, 3, 3, 3, padding=1))],
-        [("down1", ops.ConvSpec(cfg.down_width, cfg.stem_width, 3, 3, stride=2, padding=1))],
-        [("down2", ops.ConvSpec(cfg.down_width, cfg.down_width, 3, 3, stride=2, padding=1))],
-        [(f"aspp{i}", ops.ConvSpec(cfg.aspp_width, cfg.down_width, 3, 3, padding=d, dilation=d))
-         for i, d in enumerate(cfg.aspp_dilations)],
-        [("fuse", ops.ConvSpec(cfg.fuse_width, cfg.aspp_width * len(cfg.aspp_dilations), 1, 1))],
-    ]
-
-
-def _head(cfg: NetworkConfig) -> Layer:
-    """The decoder's 1x1 conv from the encoder output to class logits, applied
-    before the x4 upsample; the two commute, so its weights are the same as
-    those of a head applied after it."""
-    return ("head", ops.ConvSpec(cfg.num_classes, cfg.fuse_width, 1, 1))
+    @cached_property
+    def head(self) -> Layer:
+        """The decoder's 1x1 conv from the encoder output to class logits,
+        applied before the x4 upsample; the two commute, so its weights are
+        the same as those of a head applied after it."""
+        return ("head", ops.ConvSpec(self.num_classes, self.fuse_width, 1, 1))
 
 
 def _conv_layers(cfg: NetworkConfig) -> list[Layer]:
     """Every conv layer: the table's branches in site order, then the head."""
-    return [layer for stage in _stages(cfg) for layer in stage] + [_head(cfg)]
+    return [layer for stage in cfg.stages for layer in stage] + [cfg.head]
 
 
 def assign_activations(
@@ -163,13 +169,6 @@ class Model:
     params: dict[str, np.ndarray]  # "<layer>.w" / "<layer>.b"
     acts: list[ActivationState]
     init_seed: int
-    # the layer table of ``config``, built once per model
-    _stages: list[list[Layer]] = field(init=False, repr=False, compare=False)
-    _head: Layer = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._stages = _stages(self.config)
-        self._head = _head(self.config)
 
     @property
     def assignment(self) -> tuple[ActivationKind, ...]:
@@ -180,12 +179,10 @@ class Model:
         return next(iter(self.params.values())).dtype
 
     def parameters(self) -> dict[str, np.ndarray]:
-        """All trainable arrays by name; values alias the live storage."""
-        out = dict(self.params)
-        for i, st in enumerate(self.acts):
-            if st.params.size:
-                out[f"act{i}.params"] = st.params
-        return out
+        """Every trainable array by name, as a checkpoint holds them: each site's
+        ``act{i}.params`` is (0, C) for a fixed kind. Values alias the live storage."""
+        acts = {f"act{i}.params": st.params for i, st in enumerate(self.acts)}
+        return {**self.params, **acts}
 
 
 def build_model(
@@ -297,7 +294,7 @@ def forward(model: Model, images: np.ndarray, *, variants=None):
         variants = _check_variants(model, images, variants)
     xs = [images]
     pre: list[np.ndarray] = []
-    for stage in model._stages:
+    for stage in model.config.stages:
         outs = []
         for layer in stage:
             pre.append(_conv(model, layer, xs[-1], variants))
@@ -306,7 +303,7 @@ def forward(model: Model, images: np.ndarray, *, variants=None):
             nb = max(len(o) for o in outs)
             outs = [np.broadcast_to(o, (nb,) + o.shape[1:]) for o in outs]
         xs.append(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))
-    head = _conv(model, model._head, xs[-1], variants)
+    head = _conv(model, model.config.head, xs[-1], variants)
     probs = ops.softmax_channel(ops.upsample_bilinear(head, _UPSAMPLE))
     return probs, {"xs": xs, "pre": pre, "probs": probs}
 
@@ -324,18 +321,16 @@ def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndar
     xs, pre = cache["xs"], cache["pre"]
     dlogits = ops.softmax_channel_backward(dprobs, cache["probs"])
     dhead = ops.upsample_bilinear_backward(dlogits, xs[-1].shape[2], xs[-1].shape[3], _UPSAMPLE)
-    g = conv_back(model._head, dhead, xs[-1])
+    g = conv_back(model.config.head, dhead, xs[-1])
     site = len(pre)
-    for k in reversed(range(len(model._stages))):
-        stage = model._stages[k]
+    for k, stage in reversed(list(enumerate(model.config.stages))):
         site -= len(stage)
         dx, at = None, 0
         for i, layer in enumerate(stage, start=site):
             width = layer[1].out_channels
-            dz, dpar = act_backward(pre[i], model.acts[i], g[:, at : at + width])
+            dz, grads[f"act{i}.params"] = act_backward(pre[i], model.acts[i],
+                                                       g[:, at : at + width])
             at += width
-            if dpar.size:
-                grads[f"act{i}.params"] = dpar
             dxi = conv_back(layer, dz, xs[k], need_dx=k > 0)  # stage 0 reads the image
             dx = dxi if dx is None else dx + dxi
         g = dx

@@ -78,10 +78,8 @@ def _noise_params(state, rng: SplitMix64) -> None:
     """Move the learnable scalars off their init values so every slope term
     is actually exercised (a wrong slope scaled by a zero coefficient would
     otherwise pass). SReLU thresholds stay put so the kink set is shared
-    across channels."""
+    across channels. A fixed kind's (0, C) array draws no values."""
     p = state.params
-    if not p.size:
-        return
     noise = (rng.uniform_array(p.size).reshape(p.shape) - 0.5) * 0.8
     if state.kind == ActivationKind.SRELU:
         noise[0] = 0.0  # t_l

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from stoseg import cli, ensemble, network
 from stoseg.activations import ActivationKind
+from stoseg.losses import TrainConfig
 from stoseg.metrics import CSV_COLUMNS
+from stoseg.rng import derive_seed
 
 SEED = 3
 
@@ -149,6 +152,23 @@ class TestTypedGetters:
             getter({**cli.DEFAULTS, key: value})
 
 
+class TestDefaults:
+    """Each default in ``cli.DEFAULTS`` is also the default of the dataclass
+    field it sets."""
+
+    def test_network_config(self):
+        assert cli.network_config(cli.DEFAULTS) == network.NetworkConfig()
+
+    def test_train_config(self):
+        want = TrainConfig(shuffle_seed=derive_seed(SEED, cli.TAG_SHUFFLE))
+        assert cli.train_config(cli.DEFAULTS, SEED) == want
+
+    def test_ensemble_size_and_pool_size(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(ensemble.EnsembleSpec)}
+        spec = cli.ensemble_spec(cli.DEFAULTS, SEED)
+        assert (spec.size, spec.pool_size) == (defaults["size"], defaults["pool_size"])
+
+
 class TestMainErrors:
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, "net.widht=4")
@@ -162,6 +182,7 @@ class TestMainErrors:
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: model.activation must be")
+        assert not (tmp_path / "out").exists()
 
     def test_nan_learning_rate_exits_1_without_an_ensemble(self, tmp_path, capsys):
         path = write_config(tmp_path, "data.synth_count=12", "data.synth_size=16",
@@ -171,6 +192,15 @@ class TestMainErrors:
         assert cli.main(["ensemble", "--config", path, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: learning rate must be finite")
         assert not (out / "ensemble").exists() and not (out / "results.csv").exists()
+        assert not out.exists()
+
+    def test_missing_checkpoint_exits_1_without_out(self, tmp_path, capsys):
+        missing = tmp_path / "missing.npz"
+        out = tmp_path / "out"
+        assert cli.main(["eval", "--checkpoint", str(missing), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert not out.exists()
 
     def test_parallel_below_one_exits_1(self, tmp_path, capsys):
         path = write_config(tmp_path, "data.synth_count=4", "data.synth_size=16", "split.train=2",

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import re
@@ -38,6 +39,12 @@ class TestNetworkConfig:
     def test_two_dilations_shrink_the_topology(self):
         cfg = network.NetworkConfig(aspp_dilations=(1, 2))
         assert cfg.site_count == 6
+
+    def test_layer_table_is_built_once_and_not_compared(self):
+        cfg, fresh = network.NetworkConfig(), network.NetworkConfig()
+        assert cfg.stages is cfg.stages and cfg.head is cfg.head
+        assert cfg == fresh and hash(cfg) == hash(fresh)
+        assert dataclasses.asdict(cfg) == dataclasses.asdict(fresh)
 
 
 class TestAssignActivations:
@@ -415,6 +422,23 @@ class TestGradMap:
         assert set(grads) == set(params)
         for k in grads:
             assert grads[k].shape == params[k].shape
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_parameter_set(self, dtype, tmp_path):
+        """The GradMap, ``parameters()`` and the checkpoint hold the same
+        arrays, a fixed kind's (0, C) site array included."""
+        img = SplitMix64(4).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16).astype(dtype)
+        for j, m in enumerate(TestPredictBlocks.pool_models(dtype)):
+            params = m.parameters()
+            probs, cache = network.forward(m, img)
+            assert set(network.backward(m, cache, np.ones_like(probs))) == set(params)
+            network.save_model(tmp_path / f"m{j}.npz", m)
+            with np.load(tmp_path / f"m{j}.npz") as z:
+                for i, st in enumerate(m.acts):
+                    p, saved = params[f"act{i}.params"], z[f"act:{i}"]
+                    assert p is st.params
+                    assert saved.dtype == p.dtype and saved.shape == p.shape
+                    np.testing.assert_array_equal(saved, p)
 
     def test_cache_lists_site_inputs_in_order(self):
         cfg = small_config()
