@@ -7,6 +7,12 @@ Every run writes the fully resolved config next to its outputs, and all
 randomness flows from the single master seed. A run checks its config,
 checkpoint and data before it writes ``config.resolved``.
 
+The dataset is ``data.images_dir`` with ``data.masks_dir`` when both are set
+(one alone is an error); when neither is, it is ``split.train + split.test``
+synthetic images, the only size the split takes. ``synth`` always
+synthesises. A setting of a ``NetworkConfig``, ``TrainConfig`` or
+``EnsembleSpec`` field reads its default from that field.
+
 ``train`` writes the bytes of one ``ensemble`` member file, trained with
 that member's seed (for member i, the i-th output of the master seed's
 stream). ``model.activation=sto`` is member 0 of the ``sto`` ensemble at the
@@ -42,31 +48,29 @@ DEFAULTS: dict[str, str] = {
     "name": "microseg",
     "seed": "0",
     "out_dir": "run_out",
-    "data.source": "synth",
-    "data.synth_count": "240",
     "data.synth_size": "64",
     "data.images_dir": "",
     "data.masks_dir": "",
     "split.train": "200",
     "split.test": "40",
-    "net.input_size": "64",
-    "net.stem_width": "16",
-    "net.down_width": "32",
-    "net.aspp_width": "16",
-    "net.fuse_width": "32",
-    "net.dilations": "1,2,4",
-    "train.epochs": "20",
-    "train.lr": "0.01",
-    "train.momentum": "0.9",
-    "train.batch_size": "8",
-    "train.loss": "dice",
-    "train.augment": "true",
-    "train.bg_weight": "1.0",
-    "train.fg_weight": "1.0",
+    "net.input_size": str(network.NetworkConfig.input_size),
+    "net.stem_width": str(network.NetworkConfig.stem_width),
+    "net.down_width": str(network.NetworkConfig.down_width),
+    "net.aspp_width": str(network.NetworkConfig.aspp_width),
+    "net.fuse_width": str(network.NetworkConfig.fuse_width),
+    "net.dilations": ",".join(map(str, network.NetworkConfig.aspp_dilations)),
+    "train.epochs": str(TrainConfig.epochs),
+    "train.lr": str(TrainConfig.learning_rate),
+    "train.momentum": str(TrainConfig.momentum),
+    "train.batch_size": str(TrainConfig.batch_size),
+    "train.loss": TrainConfig.loss,
+    "train.augment": str(TrainConfig.augment).lower(),
+    "train.bg_weight": str(TrainConfig.class_weights[0]),
+    "train.fg_weight": str(TrainConfig.class_weights[1]),
     "model.activation": "relu",
     "ensemble.mode": "sto",
-    "ensemble.size": "14",
-    "ensemble.pool_size": "14",
+    "ensemble.size": str(ens_mod.EnsembleSpec.size),
+    "ensemble.pool_size": str(ens_mod.EnsembleSpec.pool_size),
 }
 
 
@@ -156,18 +160,16 @@ def ensemble_spec(cfg, seed: int) -> ens_mod.EnsembleSpec:
 
 
 def load_dataset(cfg, seed: int) -> data_mod.Dataset:
-    source = cfg["data.source"]
-    if source == "synth":
-        return data_mod.synth_blobs(
-            _as_int(cfg, "data.synth_count"),
-            _as_int(cfg, "data.synth_size"),
-            derive_seed(seed, TAG_DATA),
-        )
-    if source == "dir":
-        if not cfg["data.images_dir"] or not cfg["data.masks_dir"]:
-            raise ConfigError("data.source=dir requires data.images_dir and data.masks_dir")
-        return data_mod.load_dir(cfg["data.images_dir"], cfg["data.masks_dir"])
-    raise ConfigError(f"data.source must be 'synth' or 'dir', got {source!r}")
+    """The two directories when both are set, the synthetic set when neither is."""
+    images_dir, masks_dir = cfg["data.images_dir"], cfg["data.masks_dir"]
+    if images_dir and masks_dir:
+        return data_mod.load_dir(images_dir, masks_dir)
+    if images_dir or masks_dir:
+        raise ConfigError("data.images_dir and data.masks_dir must be set together")
+    count = _as_int(cfg, "split.train") + _as_int(cfg, "split.test")
+    if count < 1:
+        raise ConfigError(f"split.train + split.test must be >= 1, got {count}")
+    return data_mod.synth_blobs(count, _as_int(cfg, "data.synth_size"), derive_seed(seed, TAG_DATA))
 
 
 def load_split(cfg, seed: int):
@@ -204,7 +206,8 @@ def _prepare_out(cfg) -> Path:
 
 
 def cmd_synth(cfg) -> int:
-    ds = load_dataset({**cfg, "data.source": "synth"}, _as_int(cfg, "seed"))
+    synth = {**cfg, "data.images_dir": "", "data.masks_dir": ""}
+    ds = load_dataset(synth, _as_int(cfg, "seed"))
     out = _prepare_out(cfg)
     data_mod.save_dataset(ds, out / "dataset")
     print(f"wrote {len(ds)} samples to {out / 'dataset'}")
@@ -248,6 +251,7 @@ def cmd_eval(cfg, checkpoint: str) -> int:
 
 
 def cmd_ensemble(cfg, parallel: int) -> int:
+    ens_mod.check_parallel(parallel)
     seed = _as_int(cfg, "seed")
     spec = ensemble_spec(cfg, seed)
     train_ds, test_ds = load_split(cfg, seed)

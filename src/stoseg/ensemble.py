@@ -39,7 +39,7 @@ DEFAULT_POOL_SIZE = 14
 @dataclass(frozen=True)
 class EnsembleSpec:
     mode: str
-    size: int = 14
+    size: int = DEFAULT_POOL_SIZE
     master_seed: int = 0
     network: NetworkConfig = field(default_factory=NetworkConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -117,6 +117,12 @@ def _train_worker_member(spec: EnsembleSpec, index: int):
     return train_member(spec, _worker_samples, index)
 
 
+def check_parallel(parallel: int) -> None:
+    """Reject a worker count below 1 for ``train_ensemble``."""
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
+
+
 def train_ensemble(
     spec: EnsembleSpec, train_set: Sequence[Sample], parallel: int = 1
 ) -> Ensemble:
@@ -128,8 +134,7 @@ def train_ensemble(
     A pool receives the samples once per worker, through its initializer;
     a member's job is only ``(spec, index)``.
     """
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
+    check_parallel(parallel)
     samples = list(train_set)
     if not samples:
         raise ValueError("training set is empty")

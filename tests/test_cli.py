@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stoseg import cli, ensemble, network
+from stoseg import cli, data, ensemble, network
 from stoseg.activations import ActivationKind
 from stoseg.losses import TrainConfig
 from stoseg.metrics import CSV_COLUMNS
@@ -19,10 +19,8 @@ def tiny_config(tmp_path):
     path = tmp_path / "tiny.cfg"
     path.write_text("\n".join([
         f"seed={SEED}",
-        "data.source=dir",
         f"data.images_dir={dataset / 'images'}",
         f"data.masks_dir={dataset / 'masks'}",
-        "data.synth_count=12",
         "data.synth_size=16",
         "split.train=8",
         "split.test=4",
@@ -145,11 +143,74 @@ class TestTypedGetters:
         ("net.dilations", "1,two", cli.network_config),
         ("net.input_size", "sixty", cli.network_config),
         ("train.augment", "maybe", lambda cfg: cli.train_config(cfg, 0)),
-        ("data.source", "web", lambda cfg: cli.load_dataset(cfg, 0)),
+        ("data.images_dir", "images", lambda cfg: cli.load_dataset(cfg, 0)),
     ])
     def test_bad_value_names_key(self, key, value, getter):
         with pytest.raises(cli.ConfigError, match=re.escape(key)):
             getter({**cli.DEFAULTS, key: value})
+
+
+class TestDataset:
+    def test_both_dirs_load_their_files(self, tmp_path):
+        root = tmp_path / "set"
+        samples = data.synth_blobs(3, 16, SEED).samples
+        renamed = tuple(dataclasses.replace(s, ident=f"polyp{i}") for i, s in enumerate(samples))
+        data.save_dataset(data.Dataset(renamed, provenance="renamed"), root)
+        path = write_config(tmp_path, f"data.images_dir={root / 'images'}",
+                            f"data.masks_dir={root / 'masks'}", "split.train=2", "split.test=1")
+        ds = cli.load_dataset(cli.parse_config(path), SEED)
+        assert [s.ident for s in ds] == ["polyp0", "polyp1", "polyp2"]
+
+    @pytest.mark.parametrize("key", ["data.images_dir", "data.masks_dir"])
+    def test_one_dir_names_both_keys(self, tmp_path, key):
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.load_dataset({**cli.DEFAULTS, key: str(tmp_path)}, SEED)
+        assert "data.images_dir" in str(exc.value) and "data.masks_dir" in str(exc.value)
+
+    @pytest.mark.parametrize("train, test", [("-5", "2"), ("0", "0")])
+    def test_empty_synthetic_set_names_split_keys(self, train, test):
+        cfg = {**cli.DEFAULTS, "split.train": train, "split.test": test}
+        with pytest.raises(cli.ConfigError, match=re.escape("split.train + split.test")):
+            cli.load_dataset(cfg, SEED)
+
+    def test_synth_writes_one_image_per_split_slot(self, tmp_path):
+        path = write_config(tmp_path, "data.synth_size=16", "split.train=5", "split.test=2")
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", path, "--out", str(out)]) == 0
+        assert len(list((out / "dataset" / "images").glob("*.ppm"))) == 7
+        assert len(list((out / "dataset" / "masks").glob("*.pgm"))) == 7
+
+
+def test_default_config_resolved(tmp_path):
+    cli.write_resolved(cli.parse_config(None), tmp_path)
+    assert (tmp_path / "config.resolved").read_text() == """\
+data.images_dir=
+data.masks_dir=
+data.synth_size=64
+ensemble.mode=sto
+ensemble.pool_size=14
+ensemble.size=14
+model.activation=relu
+name=microseg
+net.aspp_width=16
+net.dilations=1,2,4
+net.down_width=32
+net.fuse_width=32
+net.input_size=64
+net.stem_width=16
+out_dir=run_out
+seed=0
+split.test=40
+split.train=200
+train.augment=true
+train.batch_size=8
+train.bg_weight=1.0
+train.epochs=20
+train.fg_weight=1.0
+train.loss=dice
+train.lr=0.01
+train.momentum=0.9
+"""
 
 
 class TestDefaults:
@@ -177,7 +238,7 @@ class TestMainErrors:
         assert err.startswith("error: ") and f"{path}:1" in err
 
     def test_bad_activation_exits_1(self, tmp_path, capsys):
-        path = write_config(tmp_path, "data.synth_count=4", "data.synth_size=16", "split.train=2",
+        path = write_config(tmp_path, "data.synth_size=16", "split.train=2",
                             "split.test=2", "net.input_size=16", "model.activation=tanh")
         assert cli.main(["train", "--config", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -185,7 +246,7 @@ class TestMainErrors:
         assert not (tmp_path / "out").exists()
 
     def test_nan_learning_rate_exits_1_without_an_ensemble(self, tmp_path, capsys):
-        path = write_config(tmp_path, "data.synth_count=12", "data.synth_size=16",
+        path = write_config(tmp_path, "data.synth_size=16",
                             "split.train=8", "split.test=4", "net.input_size=16",
                             "train.epochs=1", "ensemble.size=2", "train.lr=nan")
         out = tmp_path / "out"
@@ -203,8 +264,17 @@ class TestMainErrors:
         assert not out.exists()
 
     def test_parallel_below_one_exits_1(self, tmp_path, capsys):
-        path = write_config(tmp_path, "data.synth_count=4", "data.synth_size=16", "split.train=2",
+        path = write_config(tmp_path, "data.synth_size=16", "split.train=2",
                             "split.test=2", "net.input_size=16", "ensemble.size=2")
         args = ["ensemble", "--config", path, "--out", str(tmp_path / "out"), "--parallel", "0"]
         assert cli.main(args) == 1
         assert capsys.readouterr().err == "error: parallel must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["data.source=dir", "data.synth_count=12"])
+    def test_removed_dataset_key_exits_1(self, tmp_path, capsys, line):
+        path = write_config(tmp_path, "seed=1", line)
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--config", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}:2: unknown config key")
+        assert not out.exists()
