@@ -1,5 +1,12 @@
 """Train N independent members and fuse their outputs by the sum rule
-(the per-pixel mean of the members' softmax maps)."""
+(the per-pixel mean of the members' softmax maps).
+
+Member i's recipe derives from the spec alone: its seed is
+``member_seeds(master_seed, size)[i]``, its mode picks the kinds
+(``_MODE_KINDS``) that ``assign_activations`` draws each site from with that
+seed, and its weights start from ``derive_seed(seed, _INIT_TAG)``.
+``load_ensemble`` checks each member file against this recipe.
+"""
 
 from __future__ import annotations
 
@@ -19,7 +26,6 @@ from .fileio import write_atomic
 from .losses import TrainConfig, train_model
 from .metrics import MetricReport, evaluate_set
 from .network import (
-    ASSIGNMENT_MODES,
     Model,
     NetworkConfig,
     assign_activations,
@@ -34,6 +40,14 @@ MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
 _INIT_TAG = 0x1217
 DEFAULT_POOL_SIZE = 14
+
+# Member i's site kinds given the pool; a new mode is one entry here.
+_MODE_KINDS = {
+    "act": lambda pool, i: pool[i : i + 1],
+    "sto": lambda pool, i: pool,
+    "relu": lambda pool, i: [ActivationKind.RELU],
+}
+ASSIGNMENT_MODES = tuple(_MODE_KINDS)
 
 
 @dataclass(frozen=True)
@@ -70,10 +84,6 @@ class Ensemble:
         if len(self.members) != self.spec.size:
             raise ValueError("member count does not match spec size")
 
-    @property
-    def member_seeds(self) -> list[int]:
-        return member_seeds(self.spec.master_seed, self.spec.size)
-
 
 def member_seeds(master_seed: int, size: int) -> list[int]:
     """Member i's seed is the i-th output of the stream seeded by master_seed.
@@ -85,6 +95,13 @@ def member_seeds(master_seed: int, size: int) -> list[int]:
     return [stream.next_u64() for _ in range(size)]
 
 
+def _member_recipe(spec: EnsembleSpec, index: int, seed: int):
+    """Member ``index``'s ``(assignment, init_seed)`` from its seed."""
+    kinds = _MODE_KINDS[spec.mode](spec.pool(), index)
+    assignment = assign_activations(kinds, spec.network.site_count, seed)
+    return assignment, derive_seed(seed, _INIT_TAG)
+
+
 def build_member(spec: EnsembleSpec, index: int, seed: int | None = None) -> Model:
     """Untrained member ``index``, built from its seed alone: by default
     ``member_seeds(master_seed, size)[index]``. No ``stoseg`` code passes
@@ -92,10 +109,7 @@ def build_member(spec: EnsembleSpec, index: int, seed: int | None = None) -> Mod
     if not 0 <= index < spec.size:
         raise ValueError(f"member index {index} is outside range({spec.size})")
     seed = member_seeds(spec.master_seed, index + 1)[index] if seed is None else seed
-    assignment = assign_activations(
-        spec.mode, spec.pool(), spec.network.site_count, index, seed
-    )
-    return build_model(spec.network, assignment, derive_seed(seed, _INIT_TAG))
+    return build_model(spec.network, *_member_recipe(spec, index, seed))
 
 
 def train_member(spec: EnsembleSpec, samples: Sequence[Sample], index: int):
@@ -231,7 +245,7 @@ def save_ensemble(directory, ens: Ensemble) -> None:
         "format": "stoseg-ensemble",
         "version": MANIFEST_VERSION,
         **_spec_record(ens.spec),
-        "member_seeds": ens.member_seeds,
+        "member_seeds": member_seeds(ens.spec.master_seed, ens.spec.size),
     }
     write_atomic(directory / MANIFEST_NAME, (json.dumps(manifest, indent=2) + "\n").encode())
 
@@ -240,10 +254,10 @@ def load_ensemble(directory, spec: EnsembleSpec) -> Ensemble:
     """Reload members saved by save_ensemble.
 
     ``spec`` supplies the train config the manifest does not store. The
-    manifest must be version-1 JSON, and its mode, size, master seed, pool
-    and member seeds, and every member's network config, must match
-    ``spec``; anything else raises a ``ValueError`` naming the manifest or
-    member file and the key.
+    manifest must be version-1 JSON whose mode, size, master seed, pool and
+    member seeds match ``spec``, and each member file must hold the network
+    config, assignment and init seed that its index gives under ``spec``.
+    Anything else raises a ``ValueError`` naming the file and the key.
     """
     directory = Path(directory)
     path = directory / MANIFEST_NAME
@@ -267,12 +281,16 @@ def load_ensemble(directory, spec: EnsembleSpec) -> Ensemble:
     if seeds != want_seeds:
         raise ValueError(f"{path}: member_seeds are {seeds}, spec master_seed gives {want_seeds}")
     members = []
-    for i in range(spec.size):
+    for i, seed in enumerate(want_seeds):
         member = _member_path(directory, i)
         model = load_model(member)
-        for f in fields(NetworkConfig):
-            got, want = getattr(model.config, f.name), getattr(spec.network, f.name)
+        assignment, init_seed = _member_recipe(spec, i, seed)
+        checks = [(f"config {f.name}", getattr(model.config, f.name), getattr(spec.network, f.name))
+                  for f in fields(NetworkConfig)]
+        checks += [("assignment", [k.value for k in model.assignment], [k.value for k in assignment]),
+                   ("init_seed", model.init_seed, init_seed)]
+        for key, got, want in checks:
             if got != want:
-                raise ValueError(f"{member}: config {f.name} is {got!r}, spec has {want!r}")
+                raise ValueError(f"{member}: {key} is {got!r}, spec has {want!r}")
         members.append(model)
     return Ensemble(members=members, spec=spec)

@@ -68,8 +68,6 @@ from .rng import SplitMix64
 CHECKPOINT_FORMAT = "stoseg-model"
 CHECKPOINT_VERSION = 1
 
-ASSIGNMENT_MODES = ("act", "sto", "relu")
-
 _UPSAMPLE = 4  # decoder upsampling factor
 _PREDICT_BLOCK = 4  # images per forward pass in predict_batch
 
@@ -138,29 +136,13 @@ def _conv_layers(cfg: NetworkConfig) -> list[Layer]:
 
 
 def assign_activations(
-    mode: str,
-    pool: list[ActivationKind],
-    site_count: int,
-    member_index: int,
-    seed: int,
+    kinds: list[ActivationKind], site_count: int, seed: int
 ) -> tuple[ActivationKind, ...]:
-    """Per-site activation kinds for one ensemble member.
-
-    Each site is an independent uniform draw, seeded by ``seed``, from the
-    kinds the mode allows: the whole pool for ``sto``, pool[member_index]
-    alone for ``act``, and ReLU alone for ``relu``. A draw from one kind
-    always returns it, so ``act`` and ``relu`` fill every site with it.
-    """
-    if mode not in ASSIGNMENT_MODES:
-        raise ValueError(f"unknown assignment mode {mode!r}")
-    if mode == "act":
-        if not 0 <= member_index < len(pool):
-            raise ValueError(f"member_index {member_index} out of range for pool of {len(pool)}")
-        pool = [pool[member_index]]
-    elif mode == "relu":
-        pool = [ActivationKind.RELU]
+    """Per-site activation kinds: each site is an independent uniform draw
+    from ``kinds`` on one SplitMix64 stream seeded by ``seed``. A one-kind
+    list fills every site, still taking one draw per site."""
     rng = SplitMix64(seed)
-    return tuple(pool[rng.below(len(pool))] for _ in range(site_count))
+    return tuple(kinds[rng.below(len(kinds))] for _ in range(site_count))
 
 
 @dataclass

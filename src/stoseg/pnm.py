@@ -61,22 +61,21 @@ def read_pnm(path) -> tuple[np.ndarray, int]:
             arr = np.array([int(t) for t in tokens], dtype=np.int64)
         except ValueError:
             raise ValueError(f"{path}: non-numeric ASCII sample") from None
-        if arr.max(initial=0) > maxval or arr.min(initial=0) < 0:
+        shape = (h, w)
+    else:
+        # binary formats: exactly one whitespace byte separates header and payload
+        if not data[i : i + 1].isspace():
+            raise ValueError(f"{path}: missing separator before binary payload")
+        shape = (h, w, 3) if magic == b"P6" else (h, w)
+        need = int(np.prod(shape))
+        arr = np.frombuffer(data[i + 1 : i + 1 + need], dtype=np.uint8)
+        if arr.size != need:
+            raise ValueError(f"{path}: expected {need} payload bytes, got {arr.size}")
+    # a uint8 sample cannot exceed 255, so binary files at maxval 255 skip the scan
+    if magic == b"P2" or maxval < 255:
+        if arr.min(initial=0) < 0 or arr.max(initial=0) > maxval:
             raise ValueError(f"{path}: sample out of range for maxval {maxval}")
-        return arr.astype(np.uint8).reshape(h, w), maxval
-    # binary formats: exactly one whitespace byte separates header and payload
-    if not data[i : i + 1].isspace():
-        raise ValueError(f"{path}: missing separator before binary payload")
-    i += 1
-    channels = 3 if magic == b"P6" else 1
-    need = w * h * channels
-    payload = data[i : i + need]
-    if len(payload) != need:
-        raise ValueError(f"{path}: expected {need} payload bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8)
-    if channels == 3:
-        return arr.reshape(h, w, 3).copy(), maxval
-    return arr.reshape(h, w).copy(), maxval
+    return arr.astype(np.uint8).reshape(shape), maxval
 
 
 def write_ppm(path, rgb: np.ndarray) -> None:

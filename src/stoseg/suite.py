@@ -207,7 +207,7 @@ def check_network(seed: int) -> float:
     """
     cfg = REDUCED_CONFIG
     assignment = network.assign_activations(
-        "sto", default_pool(), cfg.site_count, 0, derive_seed(seed, 0xA55)
+        default_pool(), cfg.site_count, derive_seed(seed, 0xA55)
     )
     rng = SplitMix64(derive_seed(seed, 0xDA7A))
     image = rng.uniform_array(3 * cfg.input_size**2).reshape(1, 3, cfg.input_size, cfg.input_size)

@@ -79,6 +79,14 @@ class TestPnmCodec:
         with pytest.raises(ValueError, match="payload"):
             pnm.read_pnm(path)
 
+    @pytest.mark.parametrize("raw", [b"P2\n2 1\n100\n50 200\n", b"P5\n2 1\n100\n\x32\xc8",
+                                     b"P6\n1 1\n100\n\xc8\xc8\xc8"], ids=["P2", "P5", "P6"])
+    def test_sample_above_maxval_rejected(self, tmp_path, raw):
+        path = tmp_path / "hot.pnm"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="hot.pnm: sample out of range for maxval 100"):
+            pnm.read_pnm(path)
+
     def test_maxval_over_255_rejected(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")

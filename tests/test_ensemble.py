@@ -60,12 +60,6 @@ class TestMemberSeeds:
         seeds = ensemble.member_seeds(0, 100)
         assert len(set(seeds)) == 100
 
-    def test_ensemble_reads_them_from_its_spec(self):
-        spec = tiny_spec(size=3, master_seed=41)
-        m = network.build_model(spec.network, (ActivationKind.RELU,) * spec.network.site_count, 1)
-        ens = ensemble.Ensemble(members=[m, m, m], spec=spec)
-        assert ens.member_seeds == ensemble.member_seeds(41, 3)
-
 
 class TestFuseProbs:
     def test_two_map_mean(self):
@@ -266,6 +260,34 @@ class TestTrainMember:
             ensemble.build_member(tiny_spec(size=2), index)
 
 
+class TestBuildMember:
+    def test_sto_member_draws_its_sites_from_the_pool(self):
+        spec = replace(tiny_spec(size=3), pool_size=4)
+        for i, seed in enumerate(ensemble.member_seeds(spec.master_seed, 3)):
+            asn = ensemble.build_member(spec, i).assignment
+            assert asn == network.assign_activations(spec.pool(), spec.network.site_count, seed)
+            assert set(asn) <= set(spec.pool())
+
+    def test_act_member_i_is_pool_kind_i(self):
+        spec = tiny_spec(mode="act", size=4)
+        for i in range(4):
+            asn = ensemble.build_member(spec, i).assignment
+            assert asn == (default_pool()[i],) * spec.network.site_count
+
+    def test_relu_member_is_all_relu_at_any_index(self):
+        spec = tiny_spec(mode="relu", size=3)
+        for i in range(3):
+            asn = ensemble.build_member(spec, i).assignment
+            assert asn == (ActivationKind.RELU,) * spec.network.site_count
+
+    def test_init_seed_follows_the_member_seed(self):
+        spec = tiny_spec(mode="relu", size=3)
+        a, b = ensemble.build_member(spec, 0), ensemble.build_member(spec, 1)
+        assert a.init_seed != b.init_seed
+        assert ensemble.build_member(spec, 1, seed=123).init_seed == \
+            ensemble.build_member(spec, 2, seed=123).init_seed
+
+
 class TestEvaluate:
     def test_singleton_matches_single_model(self, tiny_data):
         train, test = tiny_data
@@ -300,7 +322,8 @@ class TestCheckpointDir:
         ens = ensemble.train_ensemble(spec, train)
         ensemble.save_ensemble(tmp_path / "ens", ens)
         back = ensemble.load_ensemble(tmp_path / "ens", spec)
-        assert back.member_seeds == ens.member_seeds
+        manifest = json.loads((tmp_path / "ens" / ensemble.MANIFEST_NAME).read_text())
+        assert manifest["member_seeds"] == ensemble.member_seeds(spec.master_seed, spec.size)
         for m1, m2 in zip(ens.members, back.members):
             for k, v in m1.parameters().items():
                 np.testing.assert_array_equal(v, m2.parameters()[k])
@@ -314,7 +337,7 @@ class TestCheckpointDir:
         manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
         assert manifest["mode"] == "relu"
         assert manifest["size"] == 2
-        assert manifest["member_seeds"] == ens.member_seeds
+        assert manifest["member_seeds"] == ensemble.member_seeds(spec.master_seed, 2)
         assert manifest["pool"][0] == "relu"
 
 
@@ -392,6 +415,29 @@ class TestLoadEnsembleMismatch:
         with pytest.raises(ValueError, match="config input_size is 16, spec has 64") as err:
             ensemble.load_ensemble(directory, wrong)
         assert str(directory / "member_000.npz") in str(err.value)
+
+    def test_member_from_another_ensemble(self, tmp_path):
+        """Member 1 of an act ensemble (all leaky_relu) in place of member 0
+        of a sto ensemble with the same network."""
+        def save(mode, name):
+            spec = tiny_spec(mode=mode, size=2)
+            members = [ensemble.build_member(spec, i) for i in range(2)]
+            ensemble.save_ensemble(tmp_path / name, ensemble.Ensemble(members, spec))
+            return spec
+        sto = save("sto", "sto")
+        save("act", "act")
+        shutil.copy(tmp_path / "act" / "member_001.npz", tmp_path / "sto" / "member_000.npz")
+        with pytest.raises(ValueError, match=r"assignment is \['leaky_relu', ") as err:
+            ensemble.load_ensemble(tmp_path / "sto", sto)
+        assert str(tmp_path / "sto" / "member_000.npz") in str(err.value)
+
+    def test_duplicated_member(self, saved_relu, tmp_path):
+        directory, spec = saved_relu
+        shutil.copytree(directory, tmp_path / "ens")
+        shutil.copy(tmp_path / "ens" / "member_001.npz", tmp_path / "ens" / "member_000.npz")
+        with pytest.raises(ValueError, match="init_seed is") as err:
+            ensemble.load_ensemble(tmp_path / "ens", spec)
+        assert str(tmp_path / "ens" / "member_000.npz") in str(err.value)
 
     def test_matching_spec_loads(self, saved_relu):
         directory, spec = saved_relu

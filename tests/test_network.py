@@ -48,42 +48,33 @@ class TestNetworkConfig:
 
 
 class TestAssignActivations:
-    def test_act_mode_repeats_one_kind(self):
+    def test_is_seed_deterministic(self):
         pool = default_pool()
-        asn = network.assign_activations("act", pool, 7, 0, 99)
-        assert asn == tuple([ActivationKind.RELU] * 7)
-        asn3 = network.assign_activations("act", pool, 7, 3, 0)
-        assert asn3 == tuple([pool[3]] * 7)
+        a = network.assign_activations(pool, 7, 42)
+        assert a == network.assign_activations(pool, 7, 42)
+        assert a != network.assign_activations(pool, 7, 43)  # 17^-7 collision odds
 
-    def test_relu_mode_ignores_index_and_seed(self):
-        asn = network.assign_activations("relu", default_pool(), 7, 3, 12345)
-        assert asn == tuple([ActivationKind.RELU] * 7)
+    def test_draws_come_from_the_kinds(self):
+        """One uniform draw per site from the stream seeded by ``seed``."""
+        kinds = default_pool()[3:8]
+        rng = SplitMix64(7)
+        asn = network.assign_activations(kinds, 20, 7)
+        assert asn == tuple(kinds[rng.below(5)] for _ in range(20))
+        assert set(asn) <= set(kinds)
 
-    def test_act_mode_range_checked(self):
-        with pytest.raises(ValueError, match="out of range"):
-            network.assign_activations("act", default_pool(), 7, 17, 0)
+    def test_one_kind_fills_every_site(self):
+        for seed in (0, 12345):
+            asn = network.assign_activations([ActivationKind.ELU], 7, seed)
+            assert asn == (ActivationKind.ELU,) * 7
 
-    def test_sto_mode_is_seed_deterministic(self):
-        pool = default_pool()
-        a = network.assign_activations("sto", pool, 7, 0, 42)
-        b = network.assign_activations("sto", pool, 7, 0, 42)
-        assert a == b
-        c = network.assign_activations("sto", pool, 7, 0, 43)
-        assert a != c  # 17^-7 collision odds
+    def test_length_is_the_site_count(self):
+        for count in (1, 5, 17):
+            for sites in (0, 1, 7):
+                assert len(network.assign_activations(default_pool()[:count], sites, 5)) == sites
 
-    def test_sto_draws_come_from_the_pool(self):
-        pool = default_pool()[:5]
-        asn = network.assign_activations("sto", pool, 20, 0, 7)
-        assert set(asn) <= set(pool)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            network.assign_activations("both", default_pool(), 7, 0, 0)
-
-    def test_all_modes_same_length(self):
-        pool = default_pool()
-        for mode in ("act", "sto", "relu"):
-            assert len(network.assign_activations(mode, pool, 7, 1, 5)) == 7
+    def test_empty_kinds_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            network.assign_activations([], 7, 0)
 
 
 class TestBuildModel:
@@ -132,7 +123,7 @@ class TestPredict:
 
     def test_untrained_probabilities_are_not_saturated(self):
         cfg = small_config()
-        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 5)
+        asn = network.assign_activations(default_pool(), cfg.site_count, 5)
         m = network.build_model(cfg, asn, 5)
         img = SplitMix64(6).uniform_array(3 * 16 * 16).reshape(3, 16, 16).astype(np.float32)
         probs = network.predict_batch(m, img[None])[0]
@@ -163,7 +154,7 @@ def noised_model(cfg, seed, dtype=np.float64, asn=None):
     """A model, sto-assigned unless ``asn`` is given, whose biases (the
     head's too) and activation parameters are moved off their init values."""
     if asn is None:
-        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, seed)
+        asn = network.assign_activations(default_pool(), cfg.site_count, seed)
     m = network.build_model(cfg, asn, seed, dtype=dtype)
     rng = SplitMix64(seed + 1)
     for name, b in m.params.items():
@@ -319,7 +310,7 @@ class TestParentCheckpoint:
 
         cfg = network.NetworkConfig(input_size=16, stem_width=4, down_width=8, aspp_width=4,
                                     fuse_width=8, aspp_dilations=(1, 2))
-        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 61)
+        asn = network.assign_activations(default_pool(), cfg.site_count, 61)
         m = network.build_model(cfg, asn, 61)
         rng = SplitMix64(62)
         for name, b in m.params.items():
@@ -361,7 +352,7 @@ def pyramid_problem(dilations):
     """A noised float64 pyramid at 8x8, a batch of 2 images and a target, and
     the generator that drew them, for the central-difference checks."""
     cfg = pyramid_config(dilations)
-    asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 17)
+    asn = network.assign_activations(default_pool(), cfg.site_count, 17)
     m = network.build_model(cfg, asn, 17, dtype=np.float64)
     rng = SplitMix64(18)
     for name, b in m.params.items():
@@ -413,7 +404,7 @@ def directional_error(key):
 class TestGradMap:
     def test_backward_covers_every_parameter(self):
         cfg = small_config()
-        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 3)
+        asn = network.assign_activations(default_pool(), cfg.site_count, 3)
         m = network.build_model(cfg, asn, 3)
         img = SplitMix64(2).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16).astype(np.float32)
         probs, cache = network.forward(m, img)
@@ -442,7 +433,7 @@ class TestGradMap:
 
     def test_cache_lists_site_inputs_in_order(self):
         cfg = small_config()
-        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 3)
+        asn = network.assign_activations(default_pool(), cfg.site_count, 3)
         m = network.build_model(cfg, asn, 3)
         img = SplitMix64(2).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16).astype(np.float32)
         _, cache = network.forward(m, img)
@@ -489,7 +480,7 @@ class TestGradMap:
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         cfg = small_config()
-        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 21)
+        asn = network.assign_activations(default_pool(), cfg.site_count, 21)
         m = network.build_model(cfg, asn, 21)
         # make the learnable activation params non-trivial before saving
         for st in m.acts:
@@ -508,7 +499,7 @@ class TestCheckpoint:
 
     def test_loaded_sites_read_kind_and_channels_from_their_arrays(self, tmp_path):
         cfg = small_config()
-        asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 5)
+        asn = network.assign_activations(default_pool(), cfg.site_count, 5)
         network.save_model(tmp_path / "m.npz", network.build_model(cfg, asn, 5))
         m = network.load_model(tmp_path / "m.npz")
         with np.load(tmp_path / "m.npz") as z:
@@ -565,7 +556,7 @@ TAMPERS = {
 
 def tampered_checkpoint(tmp_path, name):
     cfg = small_config()
-    asn = network.assign_activations("sto", default_pool(), cfg.site_count, 0, 21)
+    asn = network.assign_activations(default_pool(), cfg.site_count, 21)
     good = tmp_path / "good.npz"
     network.save_model(good, network.build_model(cfg, asn, 21))
     with np.load(good) as data:
