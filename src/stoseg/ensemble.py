@@ -5,7 +5,8 @@ Member i's recipe derives from the spec alone: its seed is
 ``member_seeds(master_seed, size)[i]``, its mode picks the kinds
 (``_MODE_KINDS``) that ``assign_activations`` draws each site from with that
 seed, and its weights start from ``derive_seed(seed, _INIT_TAG)``.
-``load_ensemble`` checks each member file against this recipe.
+``save_ensemble`` checks each member against this recipe before it writes,
+and ``load_ensemble`` checks each member file.
 """
 
 from __future__ import annotations
@@ -236,8 +237,29 @@ def _spec_record(spec: EnsembleSpec) -> dict:
     }
 
 
+def _check_member(spec: EnsembleSpec, index: int, seed: int, model: Model, where) -> None:
+    """Raise a ``ValueError`` naming ``where`` and the key unless ``model``
+    holds the network config of ``spec`` and the assignment and init seed
+    that ``_member_recipe`` gives member ``index`` with ``seed``."""
+    assignment, init_seed = _member_recipe(spec, index, seed)
+    checks = [(f"config {f.name}", getattr(model.config, f.name), getattr(spec.network, f.name))
+              for f in fields(NetworkConfig)]
+    checks += [("assignment", [k.value for k in model.assignment], [k.value for k in assignment]),
+               ("init_seed", model.init_seed, init_seed)]
+    for key, got, want in checks:
+        if got != want:
+            raise ValueError(f"{where}: {key} is {got!r}, spec has {want!r}")
+
+
 def save_ensemble(directory, ens: Ensemble) -> None:
+    """Write a manifest and one file per member that ``load_ensemble`` reads
+    back under ``ens.spec``. A member that is not the one its index gives
+    under the spec raises a ``ValueError`` naming the member and the key,
+    before anything is written."""
     directory = Path(directory)
+    seeds = member_seeds(ens.spec.master_seed, ens.spec.size)
+    for i, (m, seed) in enumerate(zip(ens.members, seeds)):
+        _check_member(ens.spec, i, seed, m, f"member {i}")
     directory.mkdir(parents=True, exist_ok=True)
     for i, m in enumerate(ens.members):
         save_model(_member_path(directory, i), m)
@@ -245,7 +267,7 @@ def save_ensemble(directory, ens: Ensemble) -> None:
         "format": "stoseg-ensemble",
         "version": MANIFEST_VERSION,
         **_spec_record(ens.spec),
-        "member_seeds": member_seeds(ens.spec.master_seed, ens.spec.size),
+        "member_seeds": seeds,
     }
     write_atomic(directory / MANIFEST_NAME, (json.dumps(manifest, indent=2) + "\n").encode())
 
@@ -284,13 +306,6 @@ def load_ensemble(directory, spec: EnsembleSpec) -> Ensemble:
     for i, seed in enumerate(want_seeds):
         member = _member_path(directory, i)
         model = load_model(member)
-        assignment, init_seed = _member_recipe(spec, i, seed)
-        checks = [(f"config {f.name}", getattr(model.config, f.name), getattr(spec.network, f.name))
-                  for f in fields(NetworkConfig)]
-        checks += [("assignment", [k.value for k in model.assignment], [k.value for k in assignment]),
-                   ("init_seed", model.init_seed, init_seed)]
-        for key, got, want in checks:
-            if got != want:
-                raise ValueError(f"{member}: {key} is {got!r}, spec has {want!r}")
+        _check_member(spec, i, seed, model, member)
         members.append(model)
     return Ensemble(members=members, spec=spec)

@@ -98,9 +98,8 @@ def dice_loss(probs: np.ndarray, target: np.ndarray):
     return loss, grad.astype(probs.dtype, copy=False)
 
 
-def weighted_ce(probs: np.ndarray, target: np.ndarray, class_weights):
-    """Per-pixel cross entropy of a batch with one positive weight per class."""
-    probs, target = _check_probs_target(probs, target)
+def _class_weight_block(probs: np.ndarray, class_weights) -> np.ndarray:
+    """The class weights as a (1, c, 1, 1) array of ``probs``' dtype."""
     w = np.asarray(class_weights, dtype=np.float64)
     if w.shape != (probs.shape[1],):
         raise ValueError(
@@ -108,8 +107,27 @@ def weighted_ce(probs: np.ndarray, target: np.ndarray, class_weights):
         )
     if np.any(w <= 0):
         raise ValueError(f"class weights must be positive, got {class_weights}")
+    return w.reshape(1, -1, 1, 1).astype(probs.dtype)
+
+
+def weighted_ce_per_sample(probs: np.ndarray, target: np.ndarray, class_weights) -> np.ndarray:
+    """Weighted cross entropy of each map of a batch (n, c, h, w), shape
+    (n,): the map's weighted sum times 1/(h*w). For a batch of one it is
+    ``weighted_ce``'s loss bit for bit; for a larger batch their mean can
+    differ from it in the last bits, since ``weighted_ce`` sums the whole
+    batch at once."""
+    probs, target = _check_probs_target(probs, target)
+    wb = _class_weight_block(probs, class_weights)
     n, _, h, wd = probs.shape
-    wb = w.reshape(1, -1, 1, 1).astype(probs.dtype)
+    terms = (wb * target * np.log(probs + CE_EPS)).reshape(n, -1)
+    return -terms.sum(axis=1) * (1.0 / (h * wd))
+
+
+def weighted_ce(probs: np.ndarray, target: np.ndarray, class_weights):
+    """Per-pixel cross entropy of a batch with one positive weight per class."""
+    probs, target = _check_probs_target(probs, target)
+    wb = _class_weight_block(probs, class_weights)
+    n, _, h, wd = probs.shape
     scale = 1.0 / (n * h * wd)
     loss = float(-(wb * target * np.log(probs + CE_EPS)).sum() * scale)
     return loss, (-(wb * target) / (probs + CE_EPS) * scale).astype(probs.dtype, copy=False)

@@ -196,23 +196,16 @@ def build_model(
 
 def _conv(model: Model, layer: Layer, x: np.ndarray, variants) -> np.ndarray:
     """The layer's conv of ``x``. With ``variants=(key, values)`` naming
-    this layer's weight or bias, the B values fold into the output channels
-    of one conv of the single image ``x``, and the result is (B, cout, h, w):
-    each output channel is one GEMM row, so variant b equals the conv with
+    this layer's weight or bias, ``ops.conv2d_variants`` of the single
+    image ``x`` gives (B, cout, h, w): variant b equals the conv with
     ``values[b]`` in place, bit for bit."""
     name, spec = layer
     w, b = model.params[f"{name}.w"], model.params[f"{name}.b"]
     if variants is None or variants[0] not in (f"{name}.w", f"{name}.b"):
         return ops.conv2d(x, w, b, spec)
     key, values = variants
-    nb = len(values)
-    if key == f"{name}.w":
-        w, b = values, np.tile(b, nb)
-    else:
-        w, b = np.broadcast_to(w, (nb,) + w.shape), values
-    spec = dataclasses.replace(spec, out_channels=nb * spec.out_channels)
-    y = ops.conv2d(x, w.reshape((spec.out_channels,) + w.shape[2:]), b.reshape(-1), spec)
-    return y.reshape((nb, -1) + y.shape[2:])
+    weights, biases = (values, b[None]) if key == f"{name}.w" else (w[None], values)
+    return ops.conv2d_variants(x, weights, biases, spec)[:, 0]
 
 
 def _act(model: Model, site: int, z: np.ndarray, variants) -> np.ndarray:
@@ -262,14 +255,15 @@ def forward(model: Model, images: np.ndarray, *, variants=None):
     parameter array ``key`` at once: ``values`` is (B,) + its shape, and
     ``probs[b]`` equals a forward with ``values[b]`` in place of the array,
     bit for bit. The pass runs from stage 0 on the single image until the
-    branch that reads ``key``: a conv weight or bias folds the variants
-    into the output channels of one conv, activation parameters into the
-    channels of one activation call. Each stage's branch outputs are
-    broadcast to the largest batch among them, so the stage's other
-    branches join the batch, and the later stages and the decoder run on
-    the batch of B. Every op on a variant is elementwise or a GEMM row of
-    the unbatched shape, which is why the bits are kept. The cache then
-    holds the batched intermediates, which ``backward`` does not take.
+    branch that reads ``key``: a conv weight or bias runs one GEMM of the
+    unbatched shape per variant (``ops.conv2d_variants``), activation
+    parameters fold into the channels of one activation call. Each stage's
+    branch outputs are broadcast to the largest batch among them, so the
+    stage's other branches join the batch, and the later stages and the
+    decoder run on the batch of B. Every op on a variant is elementwise, a
+    reduction within one map, or a GEMM of the unbatched shape, which is
+    why the bits are kept. The cache then holds the batched intermediates,
+    which ``backward`` does not take.
     """
     _check_images(model.config, images)
     if variants is not None:

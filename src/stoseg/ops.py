@@ -128,6 +128,32 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) 
     return y.reshape(n, spec.out_channels, oh, ow)
 
 
+def conv2d_variants(x: np.ndarray, weights: np.ndarray, biases: np.ndarray,
+                    spec: ConvSpec) -> np.ndarray:
+    """``conv2d`` of ``x`` (n, cin, h, w) under B weight and bias variants:
+    ``weights`` (B, cout, cin, kh, kw) and ``biases`` (B, cout), whose
+    leading axes broadcast, so either may hold one array. Returns
+    (B, n, cout, oh, ow).
+
+    Each weight array is conv2d's GEMM of the unbatched (cout, K) @ (K, P)
+    shape, stacked on ``np.matmul``'s batch axis against one set of im2col
+    columns of ``x`` (one weight array runs once for every bias variant),
+    and the bias is added as conv2d adds it; so variant b equals
+    ``conv2d(x, weights[b], biases[b], spec)`` bit for bit. Folding the
+    variants into the output channels instead would run one GEMM of B times
+    the rows, which BLAS may round differently."""
+    if weights.ndim != 5 or biases.ndim != 2:
+        raise ValueError(f"need weights (B, cout, cin, kh, kw) and biases (B, cout), "
+                         f"got shapes {weights.shape} and {biases.shape}")
+    _check_conv_args(x, weights[0], spec, biases[0])
+    n, _, h, w = x.shape
+    oh, ow = spec.output_hw(h, w)
+    cols = _patches(x, spec, oh, ow).reshape(n, -1, oh * ow)
+    wmats = weights.reshape(len(weights), 1, spec.out_channels, -1)
+    y = np.matmul(wmats, cols) + biases[:, None, :, None]
+    return y.reshape(y.shape[:3] + (oh, ow))
+
+
 def _phase_runs(n_in: int, p: int, s: int) -> list[tuple[slice, slice]]:
     """For each phase a of one axis: the unpadded indices whose padded index
     ``k + p`` is a mod ``s``, and where they sit along phase a's axis."""

@@ -6,21 +6,28 @@ Every check has one shape: it draws float64 inputs from its seed, wraps the
 piece as ``fn(*inputs) -> (y, vjp)`` and returns ``gradcheck``'s largest
 relative error. The inputs are the live arrays the piece reads, parameters
 included; no check copies them. ``gradcheck`` stacks the ±h perturbations
-of each input array and asks an ``evaluate`` callback for their outputs.
-By default it runs ``fn`` once per perturbation on the live array. The
-activation and end-to-end checks pass callbacks that run all of an array's
-perturbations in one batched call instead. The end-to-end check is one
-``gradcheck`` over every parameter array of the network and runs one
-forward from stage 0 per array (``network.forward(..., variants=...)``; a
-few for an array beyond gradcheck's batch bound) that carries the
-perturbations on the batch axis. Each batched output is an elementwise op or a GEMM row of
-the unbatched shape, so every objective, and so every row, is the same
-float as from one forward per perturbation. ``run_suite`` is one loop
-over a table of ``(name, check, tolerance, seed count)`` rows. The table
-is built on each call, not at import, so it reads the module's functions
-when the suite runs: a tracer that swaps them for timing wrappers
-(``perfbench/run.py --trace 1``) would otherwise be bypassed by a table
-holding the originals.
+of each input array and asks an ``evaluate`` callback for their outputs;
+its default runs ``fn`` once per perturbation on the live array. Every
+check here passes a callback that runs all of an array's perturbations in
+one batched call instead. An input of an op that works on each map alone
+(an activation, a conv, the upsample, the softmax) carries them on the
+op's batch axis (``_on_batch_axis``); a loss scores the perturbed maps
+with a per-sample objective that equals its loss for a batch of one; conv
+weights and biases run one GEMM of the unbatched shape per perturbation
+(``ops.conv2d_variants``), and activation parameters fold into channels
+(``act_forward_variants``). The end-to-end check is one ``gradcheck``
+over every parameter array of the network and runs one forward from
+stage 0 per array (``network.forward(..., variants=...)``; a few for an
+array beyond gradcheck's batch bound) that carries the perturbations on
+the batch axis. Each batched output is an elementwise op, a reduction
+within one map, or a GEMM of the unbatched shape, so every objective, and
+so every row, is the same float as from one call per perturbation.
+
+``run_suite`` is one loop over a table of ``(name, check, tolerance, seed
+count)`` rows. The table is built on each call, not at import, so it
+reads the module's functions when the suite runs: a tracer that swaps
+them for timing wrappers (``perfbench/run.py --trace 1``) would otherwise
+be bypassed by a table holding the originals.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from .activations import (
     kink_points,
 )
 from .gradcheck import DEFAULT_STEP, gradcheck
-from .losses import dice_loss, dice_per_sample, weighted_ce
+from .losses import dice_loss, dice_per_sample, weighted_ce, weighted_ce_per_sample
 from .rng import SplitMix64, derive_seed
 
 TOL = 1e-4  # activations, ops and losses
@@ -72,6 +79,16 @@ def sample_away_from_kinks(rng: SplitMix64, shape, kinks, margin: float) -> np.n
         near = np.abs(x - k) < margin
         x[near] = k + margin * np.where(x[near] >= k, 2.0, -2.0)
     return x.reshape(shape)
+
+
+def _on_batch_axis(op, values: np.ndarray) -> np.ndarray:
+    """``op``'s output for each perturbation in ``values`` (B, n, ...) of an
+    input whose first axis is a batch of n, from one call of ``op`` on the
+    B*n maps, shaped (B, n, ...). For an op that works on each map of a
+    batch alone, in an order that does not depend on the batch size, each
+    row equals ``op`` of that perturbation bit for bit."""
+    y = op(values.reshape((-1,) + values.shape[2:]))
+    return y.reshape(values.shape[:2] + y.shape[1:])
 
 
 def _noise_params(state, rng: SplitMix64) -> None:
@@ -108,13 +125,18 @@ def check_activation(kind: ActivationKind, seed: int) -> float:
 
     def evaluate(k, values):
         if k == 0:
-            return act_forward(values.reshape((-1,) + x.shape[1:]), state).reshape(values.shape)
+            return _on_batch_axis(lambda v: act_forward(v, state), values)
         return act_forward_variants(x, state, values)
 
     return gradcheck(fn, [x, state.params], cotangent_seed=seed, evaluate=evaluate)
 
 
 def check_conv(seed: int) -> float:
+    """Input, weight and bias gradients of one of four conv geometries.
+
+    The perturbations of ``x`` run as one batch of images; those of the
+    weight or the bias run in one ``ops.conv2d_variants`` call, one GEMM of
+    the unbatched shape for each."""
     rng = SplitMix64(derive_seed(seed, 0xC0))
     variants = [
         ops.ConvSpec(2, 2, 3, 3, stride=1, padding=1, dilation=1),
@@ -129,7 +151,14 @@ def check_conv(seed: int) -> float:
 
     def fn(xv, wv, bv):
         return ops.conv2d(xv, wv, bv, spec), lambda u: ops.conv2d_backward(u, xv, wv, spec)
-    return gradcheck(fn, [x, w, b], cotangent_seed=seed)
+
+    def evaluate(k, values):
+        if k == 0:
+            return _on_batch_axis(lambda v: ops.conv2d(v, w, b, spec), values)
+        weights, biases = (values, b[None]) if k == 1 else (w[None], values)
+        return ops.conv2d_variants(x, weights, biases, spec)
+
+    return gradcheck(fn, [x, w, b], cotangent_seed=seed, evaluate=evaluate)
 
 
 def check_upsample(seed: int) -> float:
@@ -140,7 +169,11 @@ def check_upsample(seed: int) -> float:
     def fn(xv):
         y = ops.upsample_bilinear(xv, factor)
         return y, lambda u: [ops.upsample_bilinear_backward(u, 3, 4, factor)]
-    return gradcheck(fn, [x], cotangent_seed=seed)
+
+    def evaluate(_k, values):
+        return _on_batch_axis(lambda v: ops.upsample_bilinear(v, factor), values)
+
+    return gradcheck(fn, [x], cotangent_seed=seed, evaluate=evaluate)
 
 
 def check_softmax(seed: int) -> float:
@@ -150,13 +183,21 @@ def check_softmax(seed: int) -> float:
     def fn(xv):
         y = ops.softmax_channel(xv)
         return y, lambda u: [ops.softmax_channel_backward(u, y)]
-    return gradcheck(fn, [x], cotangent_seed=seed)
+
+    def evaluate(_k, values):
+        return _on_batch_axis(ops.softmax_channel, values)
+
+    return gradcheck(fn, [x], cotangent_seed=seed, evaluate=evaluate)
 
 
-def _check_loss(loss_fn, seed: int) -> float:
+def _check_loss(loss_fn, per_sample_fn, seed: int) -> float:
     """Gradient of ``loss_fn(probs, target) -> (loss, dprobs)`` with respect to
     probabilities in [0.1, 0.9] against a random two-class 4x4 target, as a
-    batch of one."""
+    batch of one.
+
+    The perturbed maps run as one batch scored by ``per_sample_fn(probs,
+    target) -> (n,)``, whose value for a batch of one must equal
+    ``loss_fn``'s loss bit for bit."""
     rng = SplitMix64(derive_seed(seed, 0x10))
     probs = 0.1 + 0.8 * rng.uniform_array(2 * 4 * 4).reshape(1, 2, 4, 4)
     fg = rng.uniform_array(4 * 4).reshape(4, 4) < 0.4
@@ -165,15 +206,22 @@ def _check_loss(loss_fn, seed: int) -> float:
     def fn(pv):
         loss, grad = loss_fn(pv, target)
         return np.float64(loss), lambda u: [u * grad]
-    return gradcheck(fn, [probs], cotangent_seed=seed)
+
+    def evaluate(_k, values):
+        maps = values.reshape((-1,) + probs.shape[1:])
+        return per_sample_fn(maps, np.broadcast_to(target, maps.shape))
+
+    return gradcheck(fn, [probs], cotangent_seed=seed, evaluate=evaluate)
 
 
 def check_dice(seed: int) -> float:
-    return _check_loss(dice_loss, seed)
+    return _check_loss(dice_loss, dice_per_sample, seed)
 
 
 def check_weighted_ce(seed: int) -> float:
-    return _check_loss(lambda p, t: weighted_ce(p, t, (0.5, 2.0)), seed)
+    weights = (0.5, 2.0)
+    return _check_loss(partial(weighted_ce, class_weights=weights),
+                       partial(weighted_ce_per_sample, class_weights=weights), seed)
 
 
 def _min_kink_distance(model, cache) -> float:
@@ -200,7 +248,7 @@ def check_network(seed: int) -> float:
     forward from stage 0 (``network.forward(..., variants=...)``; a few for
     an array beyond gradcheck's batch bound), scored by
     ``dice_per_sample``. Every batched op on a variant is an elementwise op
-    or a GEMM row of the unbatched shape, so its arithmetic is that of a
+    or a GEMM of the unbatched shape, so its arithmetic is that of a
     forward with the perturbed array in place, bit for bit; per-sample dice
     of a batch equals dice of each map alone, so every numeric gradient,
     and so the row, is the same as from one forward per perturbation.

@@ -340,6 +340,22 @@ class TestCheckpointDir:
         assert manifest["member_seeds"] == ensemble.member_seeds(spec.master_seed, 2)
         assert manifest["pool"][0] == "relu"
 
+    def test_save_rejects_copies_of_one_member(self, tmp_path):
+        """Members 1 and 2 are member 0 again, so load_ensemble would reject
+        their files: save_ensemble names the first and writes nothing."""
+        spec = tiny_spec(mode="relu", size=3)
+        m = ensemble.build_member(spec, 0)
+        with pytest.raises(ValueError, match="member 1: init_seed is"):
+            ensemble.save_ensemble(tmp_path / "ens", ensemble.Ensemble([m, m, m], spec))
+        assert not (tmp_path / "ens").exists()
+
+    def test_save_rejects_a_member_of_another_network(self, tmp_path):
+        spec = tiny_spec(mode="relu", size=1)
+        m = ensemble.build_member(replace(spec, network=replace(spec.network, fuse_width=4)), 0)
+        with pytest.raises(ValueError, match="member 0: config fuse_width is 4, spec has 8"):
+            ensemble.save_ensemble(tmp_path / "ens", ensemble.Ensemble([m], spec))
+        assert not (tmp_path / "ens").exists()
+
 
 @pytest.fixture(scope="module")
 def saved_relu(tiny_data, tmp_path_factory):

@@ -59,14 +59,18 @@ def _model():
     return network.build_model(cfg, relu_assignment(cfg), 3)
 
 
+def _ensemble():
+    spec = tiny_spec(size=2)
+    return ensemble.Ensemble([ensemble.build_member(spec, i) for i in range(2)], spec)
+
+
 def _report():
     return MetricReport(accuracy=0.5, precision=0.5, recall=0.5, f2=0.5, iou=0.5, dice=0.5)
 
 
 WRITERS = {
     "model.npz": lambda d: network.save_model(d / "model.npz", _model()),
-    "manifest.json": lambda d: ensemble.save_ensemble(
-        d, ensemble.Ensemble([_model(), _model()], tiny_spec(size=2))),
+    "manifest.json": lambda d: ensemble.save_ensemble(d, _ensemble()),
     "config.resolved": lambda d: cli.write_resolved({"seed": "1"}, d),
     "results.csv": lambda d: cli.write_results_csv(d / "results.csv", [("run", _report())]),
     "loss_history.csv": lambda d: cli.write_loss_history(d / "loss_history.csv", [0.5, 0.25]),

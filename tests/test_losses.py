@@ -13,6 +13,7 @@ from stoseg.losses import (
     sgd_step,
     train_model,
     weighted_ce,
+    weighted_ce_per_sample,
 )
 from stoseg.rng import SplitMix64
 
@@ -123,6 +124,23 @@ class TestWeightedCE:
         with pytest.raises(ValueError, match="positive"):
             weighted_ce(np.full((1, 2, 2, 2), 0.5), half_foreground_target(2, 2)[None],
                         (1.0, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_per_sample_losses_are_each_map_alone(self, n):
+        """Each equals weighted_ce of the map on its own, bit for bit, which
+        the batched loss check relies on; their mean is weighted_ce of the
+        batch up to rounding."""
+        rng = SplitMix64(17 + n)
+        probs = 0.05 + 0.9 * rng.uniform_array(n * 128).reshape(n, 2, 8, 8)
+        target = np.stack([half_foreground_target()] * n)
+        per = weighted_ce_per_sample(probs, target, (0.5, 2.0))
+        assert per.shape == (n,)
+        assert [float(v) for v in per] == [weighted_ce(p[None], t[None], (0.5, 2.0))[0]
+                                           for p, t in zip(probs, target)]
+        assert float(np.mean(per)) == pytest.approx(
+            weighted_ce(probs, target, (0.5, 2.0))[0], rel=1e-14)
+        with pytest.raises(ValueError, match="positive"):
+            weighted_ce_per_sample(probs, target, (0.0, 1.0))
 
     def test_gradient_matches_central_differences(self):
         worst = max(suite.check_weighted_ce(s) for s in range(20))

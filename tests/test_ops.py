@@ -371,6 +371,39 @@ class TestPaddedPatches:
         assert y.tobytes() == want.tobytes()
 
 
+
+class TestConvVariants:
+    @pytest.mark.parametrize("kh,kw,stride,padding,dilation", [
+        (3, 3, 1, 1, 1), (3, 3, 2, 1, 1), (3, 3, 1, 2, 2), (1, 1, 1, 0, 1), (2, 3, 2, 0, 1),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_each_variant_is_conv2d_bit_for_bit(self, kh, kw, stride, padding, dilation,
+                                                 dtype, n):
+        rng = SplitMix64(kh * 7 + stride * 3 + padding + dilation * 13 + n)
+        spec = ops.ConvSpec(3, 2, kh, kw, stride=stride, padding=padding, dilation=dilation)
+        x = rng.normal_array((n, 2, 6, 5)).astype(dtype)
+        weights = rng.normal_array((4, 3, 2, kh, kw)).astype(dtype)
+        biases = rng.normal_array((4, 3)).astype(dtype)
+        cases = [(weights, biases), (weights[:1], biases), (weights, biases[:1])]
+        for ws, bs in cases:
+            y = ops.conv2d_variants(x, ws, bs, spec)
+            assert y.shape[:3] == (4, n, 3) and y.dtype == dtype
+            for v in range(4):
+                want = ops.conv2d(x, ws[v % len(ws)], bs[v % len(bs)], spec)
+                assert y[v].tobytes() == want.tobytes()
+
+    def test_shapes_checked(self):
+        spec = ops.ConvSpec(3, 2, 3, 3)
+        x = np.zeros((1, 2, 5, 5))
+        with pytest.raises(ValueError, match="need weights"):
+            ops.conv2d_variants(x, np.zeros((3, 2, 3, 3)), np.zeros((1, 3)), spec)
+        with pytest.raises(ValueError, match="weight shape"):
+            ops.conv2d_variants(x, np.zeros((1, 3, 2, 1, 1)), np.zeros((1, 3)), spec)
+        with pytest.raises(ValueError, match="bias length"):
+            ops.conv2d_variants(x, np.zeros((1, 3, 2, 3, 3)), np.zeros((1, 2)), spec)
+
+
 class TestUpsample:
     def test_factor_one_is_identity(self):
         x = SplitMix64(3).normal_array((1, 2, 3, 3))

@@ -54,8 +54,8 @@ def numeric_gradients(monkeypatch, check, batched: bool) -> list[np.ndarray]:
 
 
 class TestBatchedEvaluate:
-    """The checks that evaluate all perturbations of an array in one call
-    get the numeric gradients of one call per perturbation, bit for bit."""
+    """Every check evaluates all perturbations of an array in one call and
+    gets the numeric gradients of one call per perturbation, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_network_keys(self, monkeypatch, seed):
@@ -74,5 +74,19 @@ class TestBatchedEvaluate:
         batched = numeric_gradients(monkeypatch, check, batched=True)
         default = numeric_gradients(monkeypatch, check, batched=False)
         assert len(batched) == len(default) == 4
+        for got, want in zip(batched, default):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name, inputs", [
+        ("check_conv", 3), ("check_upsample", 1), ("check_softmax", 1),
+        ("check_dice", 1), ("check_weighted_ce", 1),
+    ])
+    @pytest.mark.parametrize("seed", range(8))  # check_conv's four specs twice each
+    def test_ops_and_losses(self, monkeypatch, name, inputs, seed):
+        def check():
+            return getattr(suite, name)(seed)
+        batched = numeric_gradients(monkeypatch, check, batched=True)
+        default = numeric_gradients(monkeypatch, check, batched=False)
+        assert len(batched) == len(default) == inputs
         for got, want in zip(batched, default):
             assert got.tobytes() == want.tobytes()
