@@ -10,12 +10,15 @@ import numpy as np
 from .rng import SplitMix64, derive_seed
 
 DEFAULT_STEP = 1e-3
-# The most values one call's perturbations, or its outputs, hold; a larger
-# input is evaluated in several calls. At 2**14 every parameter array of the
-# reduced network but down2's weights (144 values, 3 calls) takes one call,
-# and the largest batch stays small: at 2**16 gradcheck_f64's peak RSS read
-# about 0.65 MB more, at the same speed.
-_BATCH_VALUES = 2**14
+# The most values one ``evaluate`` call's perturbations, or its outputs,
+# hold, each row counted at the size of the larger of its input and the
+# output; a larger input is split over several calls, and the chunks of
+# small inputs share one. For the end-to-end check at 2**15 the reduced
+# network's 23 parameter arrays take 3 forwards (about 1,170 rows, at most
+# 540 in one), with a traced peak of about 3.1 MB per seed; 2**14 takes 6
+# (1.8 MB) and ran run_suite(2, 2) about 10% slower, 2**16 takes 2 (5.2 MB)
+# at the speed of 2**15.
+_BATCH_VALUES = 2**15
 
 
 class GradcheckError(RuntimeError):
@@ -40,20 +43,46 @@ def _perturbations(flat: np.ndarray, shape, h: float, lo: int, hi: int) -> np.nd
     return values.reshape((2 * c,) + tuple(shape))
 
 
-def _evaluate_in_place(fn: Callable, inputs: list, k: int, values: np.ndarray) -> np.ndarray:
-    """The default ``evaluate``: ``fn``'s output for each row of ``values``,
-    written in turn into the live ``inputs[k]``, which is restored after,
-    also when ``fn`` raises."""
-    x = inputs[k]
-    orig = x.copy()
+def _evaluate_in_place(fn: Callable, inputs: list, chunks: list) -> np.ndarray:
+    """The default ``evaluate``: ``fn``'s output for each row of each chunk's
+    ``values``, written in turn into the live ``inputs[k]``, which is
+    restored after, also when ``fn`` raises."""
     outs = []
-    try:
-        for v in values:
-            x[...] = v
-            outs.append(np.array(fn(*inputs)[0]))  # a copy: fn may return a view of x
-    finally:
-        x[...] = orig
+    for k, values in chunks:
+        x = inputs[k]
+        orig = x.copy()
+        try:
+            for v in values:
+                x[...] = v
+                outs.append(np.array(fn(*inputs)[0]))  # a copy: fn may return a view of x
+        finally:
+            x[...] = orig
     return np.stack(outs)
+
+
+def _plan(sizes: list[int], out_size: int) -> list[list[tuple[int, int, int]]]:
+    """The ``evaluate`` calls, each a list of ``(k, lo, hi)`` chunks: elements
+    lo..hi-1 of input k, whose 2(hi - lo) rows cost ``max(size_k, out_size)``
+    values each. Inputs are taken in order and a call is filled up to
+    ``_BATCH_VALUES``, so it holds at most one chunk of each input, and
+    always at least one element."""
+    calls, call, used = [], [], 0
+    for k, size in enumerate(sizes):
+        cost = 2 * max(size, out_size, 1)
+        lo = 0
+        while lo < size:
+            fit = (_BATCH_VALUES - used) // cost
+            if fit <= 0 and call:
+                calls.append(call)
+                call, used = [], 0
+                continue
+            hi = min(size, lo + max(1, fit))
+            call.append((k, lo, hi))
+            used += (hi - lo) * cost
+            lo = hi
+    if call:
+        calls.append(call)
+    return calls
 
 
 def gradcheck(
@@ -72,17 +101,21 @@ def gradcheck(
     error; callers decide the pass threshold (1e-4 by convention).
 
     The perturbations of input k are stacked on a leading axis: for
-    elements taken in C order, ``values`` holds one copy of the input per
-    element at ``orig + h``, then one per element at ``orig - h``, and
-    ``evaluate(k, values)`` returns the outputs for all of them, stacked the
-    same way. A large input is split into several such calls. The default
-    ``evaluate`` calls ``fn`` once per row on the live input, perturbed in
-    place, and restores it after, also when ``fn`` raises; so inputs may
-    have any strides, and ``fn`` may read the same arrays from elsewhere. A
-    caller can pass an ``evaluate`` that computes every row in one batched
-    call; if its rows equal ``fn``'s outputs bit for bit, the result is the
-    same float. There is one numeric path: the objectives, differences and
-    errors are computed here either way.
+    elements lo..hi-1 taken in C order, ``values`` holds one copy of the
+    input per element at ``orig + h``, then one per element at ``orig - h``.
+    ``evaluate(chunks)`` gets a list of such ``(k, values)`` chunks and
+    returns the outputs of all their rows, stacked in the same order. The
+    chunks of one call come from consecutive inputs, at most one per input
+    and in input order, and hold at most ``_BATCH_VALUES`` values, each row
+    counted at ``max(size_k, output size)``; so a large input is split over
+    several calls, and the small inputs share one. The default ``evaluate``
+    calls ``fn`` once per row on the live input, perturbed in place, and
+    restores it after, also when ``fn`` raises; so inputs may have any
+    strides, and ``fn`` may read the same arrays from elsewhere. A caller
+    can pass an ``evaluate`` that computes the rows in batched calls; if
+    they equal ``fn``'s outputs bit for bit, the result is the same float.
+    There is one numeric path: the objectives, differences and errors are
+    computed here either way.
     """
     inputs = [np.asarray(v) for v in inputs]
     for k, v in enumerate(inputs):
@@ -107,22 +140,23 @@ def gradcheck(
     if evaluate is None:
         evaluate = partial(_evaluate_in_place, fn, inputs)
 
-    max_err = 0.0
-    for k, (x, ana) in enumerate(zip(inputs, analytic)):
-        flat = x.reshape(-1)  # C order; a copy when x is not contiguous
-        numeric = np.empty(flat.size)
-        per_call = max(1, _BATCH_VALUES // (2 * max(flat.size, y0.size, 1)))
-        for lo in range(0, flat.size, per_call):
-            hi = min(lo + per_call, flat.size)
-            values = _perturbations(flat, x.shape, h, lo, hi)
-            y = np.asarray(evaluate(k, values))
-            if y.shape != (len(values),) + y0.shape:
-                raise ValueError(f"evaluate returned shape {y.shape} for {len(values)} "
-                                 f"perturbations of an output of shape {y0.shape}")
-            if not np.all(np.isfinite(y)):
-                raise GradcheckError("non-finite value in perturbed output")
-            f = (u * y).reshape(len(y), -1).sum(axis=1)
-            numeric[lo:hi] = (f[: hi - lo] - f[hi - lo :]) / (2.0 * h)
-        numeric = numeric.reshape(x.shape)
-        max_err = max(max_err, float(relative_error(ana, numeric).max(initial=0.0)))
-    return max_err
+    flats = [x.reshape(-1) for x in inputs]  # C order; a copy when x is not contiguous
+    numeric = [np.empty(flat.size) for flat in flats]
+    for call in _plan([flat.size for flat in flats], y0.size):
+        chunks = [(k, _perturbations(flats[k], inputs[k].shape, h, lo, hi))
+                  for k, lo, hi in call]
+        rows = sum(len(values) for _, values in chunks)
+        y = np.asarray(evaluate(chunks))
+        if y.shape != (rows,) + y0.shape:
+            raise ValueError(f"evaluate returned shape {y.shape} for {rows} "
+                             f"perturbations of an output of shape {y0.shape}")
+        if not np.all(np.isfinite(y)):
+            raise GradcheckError("non-finite value in perturbed output")
+        f = (u * y).reshape(rows, -1).sum(axis=1)
+        at = 0
+        for k, lo, hi in call:
+            c = hi - lo
+            numeric[k][lo:hi] = (f[at : at + c] - f[at + c : at + 2 * c]) / (2.0 * h)
+            at += 2 * c
+    return max((float(relative_error(ana, num.reshape(ana.shape)).max(initial=0.0))
+                for ana, num in zip(analytic, numeric)), default=0.0)

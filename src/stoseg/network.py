@@ -194,44 +194,75 @@ def build_model(
     return Model(config=config, params=params, acts=acts, init_seed=init_seed)
 
 
-def _conv(model: Model, layer: Layer, x: np.ndarray, variants) -> np.ndarray:
-    """The layer's conv of ``x``. With ``variants=(key, values)`` naming
-    this layer's weight or bias, ``ops.conv2d_variants`` of the single
-    image ``x`` gives (B, cout, h, w): variant b equals the conv with
-    ``values[b]`` in place, bit for bit."""
+def _conv(model: Model, layer: Layer, x: np.ndarray, joins: dict, joined: list) -> np.ndarray:
+    """The layer's conv of the batch ``x``. A variant key in ``joins`` that
+    names this layer's weight or bias appends its rows: ``ops.conv2d_variants``
+    of row 0, variant b equal to the conv with ``values[b]`` in place, bit
+    for bit. Keys that join are appended to ``joined``."""
     name, spec = layer
     w, b = model.params[f"{name}.w"], model.params[f"{name}.b"]
-    if variants is None or variants[0] not in (f"{name}.w", f"{name}.b"):
-        return ops.conv2d(x, w, b, spec)
-    key, values = variants
-    weights, biases = (values, b[None]) if key == f"{name}.w" else (w[None], values)
-    return ops.conv2d_variants(x, weights, biases, spec)[:, 0]
+    y = ops.conv2d(x, w, b, spec)
+    rows = [y]
+    for key in (f"{name}.w", f"{name}.b"):
+        if key in joins:
+            weights, biases = ((joins[key], b[None]) if key == f"{name}.w"
+                               else (w[None], joins[key]))
+            rows.append(ops.conv2d_variants(x[:1], weights, biases, spec)[:, 0])
+            joined.append(key)
+    return y if len(rows) == 1 else np.concatenate(rows)
 
 
-def _act(model: Model, site: int, z: np.ndarray, variants) -> np.ndarray:
-    """Site ``site``'s activation of ``z``; with ``variants`` naming its
-    parameters, ``act_forward_variants`` of the single map ``z``."""
+def _act(model: Model, site: int, z: np.ndarray, joins: dict, joined: list) -> np.ndarray:
+    """Site ``site``'s activation of the batch ``z``; a variant key in
+    ``joins`` naming its parameters appends the rows of
+    ``act_forward_variants`` of row 0."""
     st = model.acts[site]
-    if variants is None or variants[0] != f"act{site}.params":
-        return act_forward(z, st)
-    return act_forward_variants(z, st, variants[1])[:, 0]
+    y = act_forward(z, st)
+    key = f"act{site}.params"
+    if key not in joins:
+        return y
+    joined.append(key)
+    return np.concatenate([y, act_forward_variants(z[:1], st, joins[key])[:, 0]])
 
 
-def _check_variants(model: Model, images: np.ndarray, variants):
-    """``variants`` with its values cast to the parameter's dtype, as
-    assigning them into the live array would."""
-    key, values = variants
-    params = model.parameters()
-    if key not in params:
-        raise ValueError(f"unknown variant key {key!r}")
-    if images.shape[0] != 1:
-        raise ValueError(f"variants of {key!r} take one image, got {images.shape[0]}")
-    shape = params[key].shape
-    values = np.asarray(values)
-    if values.ndim != len(shape) + 1 or values.shape[1:] != shape or len(values) < 1:
-        raise ValueError(f"variant values of {key!r} have shape {values.shape}, "
-                         f"expected (B >= 1,) + {shape}")
-    return key, values.astype(params[key].dtype, copy=False)
+def _join_branches(outs: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """A stage's branch outputs on one batch: the ``n`` rows every branch
+    ran, then each branch's new rows. Those rows' stage input is row 0's,
+    so every other branch gives its row 0 for them."""
+    new = [len(o) - n for o in outs]
+    if len(outs) == 1 or not any(new):
+        return outs
+    batched = []
+    for j, o in enumerate(outs):
+        rows = [o[:n]]
+        for i, c in enumerate(new):
+            if c:
+                rows.append(o[n:] if i == j else np.broadcast_to(o[:1], (c,) + o.shape[1:]))
+        batched.append(np.concatenate(rows))
+    return batched
+
+
+def _check_variants(model: Model, images: np.ndarray, variants) -> dict[str, np.ndarray]:
+    """``variants`` as a dict from key to values, in the given order, each
+    cast to the parameter's dtype as assigning them into the live array
+    would."""
+    if not variants:
+        raise ValueError("variants must hold at least one (key, values) pair")
+    params, joins = model.parameters(), {}
+    for key, values in variants:
+        if key not in params:
+            raise ValueError(f"unknown variant key {key!r}")
+        if key in joins:
+            raise ValueError(f"variant key {key!r} is given twice")
+        if images.shape[0] != 1:
+            raise ValueError(f"variants of {key!r} take one image, got {images.shape[0]}")
+        shape = params[key].shape
+        values = np.asarray(values)
+        if values.ndim != len(shape) + 1 or values.shape[1:] != shape or len(values) < 1:
+            raise ValueError(f"variant values of {key!r} have shape {values.shape}, "
+                             f"expected (B >= 1,) + {shape}")
+        joins[key] = values.astype(params[key].dtype, copy=False)
+    return joins
 
 
 def _check_images(cfg: NetworkConfig, images: np.ndarray) -> None:
@@ -251,37 +282,45 @@ def forward(model: Model, images: np.ndarray, *, variants=None):
     sites in site order, and ``cache["xs"][k]`` is the input of stage ``k``
     (the image for the first stage; the last entry is the encoder output).
 
-    ``variants=(key, values)`` evaluates one image under B values of the
-    parameter array ``key`` at once: ``values`` is (B,) + its shape, and
-    ``probs[b]`` equals a forward with ``values[b]`` in place of the array,
-    bit for bit. The pass runs from stage 0 on the single image until the
-    branch that reads ``key``: a conv weight or bias runs one GEMM of the
-    unbatched shape per variant (``ops.conv2d_variants``), activation
-    parameters fold into the channels of one activation call. Each stage's
-    branch outputs are broadcast to the largest batch among them, so the
-    stage's other branches join the batch, and the later stages and the
-    decoder run on the batch of B. Every op on a variant is elementwise, a
-    reduction within one map, or a GEMM of the unbatched shape, which is
-    why the bits are kept. The cache then holds the batched intermediates,
-    which ``backward`` does not take.
+    ``variants=[(key, values), ...]`` evaluates one image under B_i values
+    of each named parameter array at once: ``values`` is (B_i,) + the
+    array's shape, and ``probs`` holds sum(B_i) rows, the keys' rows in the
+    order given; row b of a key equals a forward with ``values[b]`` in
+    place of its array, bit for bit. The batch starts as row 0, the
+    unperturbed image. Each key's rows join at its own layer, from row 0's
+    input there: a conv weight or bias runs one GEMM of the unbatched shape
+    per variant (``ops.conv2d_variants``), activation parameters fold into
+    the channels of one activation call (``act_forward_variants``). The
+    later layers run with the base parameters on the whole batch, so rows
+    of several keys ride next to each other. In a stage with several
+    branches, each branch's row 0 stands in for the new rows of the other
+    branches, whose stage input is row 0's. Every op on a row is
+    elementwise, a reduction within one map, or a GEMM of the unbatched
+    shape, which is why the bits are kept. The cache then holds the batched
+    intermediates, row 0 first, which ``backward`` does not take.
     """
     _check_images(model.config, images)
-    if variants is not None:
-        variants = _check_variants(model, images, variants)
+    joins = {} if variants is None else _check_variants(model, images, variants)
+    joined: list[str] = []
     xs = [images]
     pre: list[np.ndarray] = []
     for stage in model.config.stages:
         outs = []
         for layer in stage:
-            pre.append(_conv(model, layer, xs[-1], variants))
-            outs.append(_act(model, len(pre) - 1, pre[-1], variants))
-        if variants is not None:  # single maps join the batch of B
-            nb = max(len(o) for o in outs)
-            outs = [np.broadcast_to(o, (nb,) + o.shape[1:]) for o in outs]
+            pre.append(_conv(model, layer, xs[-1], joins, joined))
+            outs.append(_act(model, len(pre) - 1, pre[-1], joins, joined))
+        outs = _join_branches(outs, len(xs[-1]))
         xs.append(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))
-    head = _conv(model, model.config.head, xs[-1], variants)
+    head = _conv(model, model.config.head, xs[-1], joins, joined)
     probs = ops.softmax_channel(ops.upsample_bilinear(head, _UPSAMPLE))
-    return probs, {"xs": xs, "pre": pre, "probs": probs}
+    cache = {"xs": xs, "pre": pre, "probs": probs}
+    if variants is not None:  # the keys' rows, from join order to the order given
+        rows, at = {}, 1
+        for key in joined:
+            rows[key] = probs[at : at + len(joins[key])]
+            at += len(joins[key])
+        probs = np.concatenate([rows[key] for key in joins])
+    return probs, cache
 
 
 def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndarray]:

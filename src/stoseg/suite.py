@@ -6,22 +6,23 @@ Every check has one shape: it draws float64 inputs from its seed, wraps the
 piece as ``fn(*inputs) -> (y, vjp)`` and returns ``gradcheck``'s largest
 relative error. The inputs are the live arrays the piece reads, parameters
 included; no check copies them. ``gradcheck`` stacks the ±h perturbations
-of each input array and asks an ``evaluate`` callback for their outputs;
-its default runs ``fn`` once per perturbation on the live array. Every
-check here passes a callback that runs all of an array's perturbations in
-one batched call instead. An input of an op that works on each map alone
-(an activation, a conv, the upsample, the softmax) carries them on the
-op's batch axis (``_on_batch_axis``); a loss scores the perturbed maps
-with a per-sample objective that equals its loss for a batch of one; conv
-weights and biases run one GEMM of the unbatched shape per perturbation
-(``ops.conv2d_variants``), and activation parameters fold into channels
-(``act_forward_variants``). The end-to-end check is one ``gradcheck``
-over every parameter array of the network and runs one forward from
-stage 0 per array (``network.forward(..., variants=...)``; a few for an
-array beyond gradcheck's batch bound) that carries the perturbations on
-the batch axis. Each batched output is an elementwise op, a reduction
-within one map, or a GEMM of the unbatched shape, so every objective, and
-so every row, is the same float as from one call per perturbation.
+of each input array and asks an ``evaluate`` callback for the outputs of a
+list of such chunks at a time; its default runs ``fn`` once per
+perturbation on the live array. Every check here passes a callback that
+runs each chunk in one batched call instead (``_each_chunk``). An input of
+an op that works on each map alone (an activation, a conv, the upsample,
+the softmax) carries them on the op's batch axis (``_on_batch_axis``); a
+loss scores the perturbed maps with a per-sample objective that equals its
+loss for a batch of one; conv weights and biases run one GEMM of the
+unbatched shape per perturbation (``ops.conv2d_variants``), and activation
+parameters fold into channels (``act_forward_variants``). The end-to-end
+check is one ``gradcheck`` over every parameter array of the network; each
+``evaluate`` call is one forward (``network.forward(..., variants=...)``)
+that carries the chunks of several arrays on the batch axis, each joining
+at its own layer, so the 23 arrays take three forwards. Each batched
+output is an elementwise op, a reduction within one map, or a GEMM of the
+unbatched shape, so every objective, and so every row, is the same float
+as from one call per perturbation.
 
 ``run_suite`` is one loop over a table of ``(name, check, tolerance, seed
 count)`` rows. The table is built on each call, not at import, so it
@@ -91,6 +92,12 @@ def _on_batch_axis(op, values: np.ndarray) -> np.ndarray:
     return y.reshape(values.shape[:2] + y.shape[1:])
 
 
+def _each_chunk(evaluate_one):
+    """A ``gradcheck`` ``evaluate`` from ``evaluate_one(k, values)``, which
+    gives the outputs of one chunk: the chunks' outputs concatenated."""
+    return lambda chunks: np.concatenate([evaluate_one(k, values) for k, values in chunks])
+
+
 def _noise_params(state, rng: SplitMix64) -> None:
     """Move the learnable scalars off their init values so every slope term
     is actually exercised (a wrong slope scaled by a zero coefficient would
@@ -128,7 +135,7 @@ def check_activation(kind: ActivationKind, seed: int) -> float:
             return _on_batch_axis(lambda v: act_forward(v, state), values)
         return act_forward_variants(x, state, values)
 
-    return gradcheck(fn, [x, state.params], cotangent_seed=seed, evaluate=evaluate)
+    return gradcheck(fn, [x, state.params], cotangent_seed=seed, evaluate=_each_chunk(evaluate))
 
 
 def check_conv(seed: int) -> float:
@@ -158,7 +165,7 @@ def check_conv(seed: int) -> float:
         weights, biases = (values, b[None]) if k == 1 else (w[None], values)
         return ops.conv2d_variants(x, weights, biases, spec)
 
-    return gradcheck(fn, [x, w, b], cotangent_seed=seed, evaluate=evaluate)
+    return gradcheck(fn, [x, w, b], cotangent_seed=seed, evaluate=_each_chunk(evaluate))
 
 
 def check_upsample(seed: int) -> float:
@@ -173,7 +180,7 @@ def check_upsample(seed: int) -> float:
     def evaluate(_k, values):
         return _on_batch_axis(lambda v: ops.upsample_bilinear(v, factor), values)
 
-    return gradcheck(fn, [x], cotangent_seed=seed, evaluate=evaluate)
+    return gradcheck(fn, [x], cotangent_seed=seed, evaluate=_each_chunk(evaluate))
 
 
 def check_softmax(seed: int) -> float:
@@ -187,7 +194,7 @@ def check_softmax(seed: int) -> float:
     def evaluate(_k, values):
         return _on_batch_axis(ops.softmax_channel, values)
 
-    return gradcheck(fn, [x], cotangent_seed=seed, evaluate=evaluate)
+    return gradcheck(fn, [x], cotangent_seed=seed, evaluate=_each_chunk(evaluate))
 
 
 def _check_loss(loss_fn, per_sample_fn, seed: int) -> float:
@@ -211,7 +218,7 @@ def _check_loss(loss_fn, per_sample_fn, seed: int) -> float:
         maps = values.reshape((-1,) + probs.shape[1:])
         return per_sample_fn(maps, np.broadcast_to(target, maps.shape))
 
-    return gradcheck(fn, [probs], cotangent_seed=seed, evaluate=evaluate)
+    return gradcheck(fn, [probs], cotangent_seed=seed, evaluate=_each_chunk(evaluate))
 
 
 def check_dice(seed: int) -> float:
@@ -244,14 +251,16 @@ def check_network(seed: int) -> float:
     the loss is genuinely non-differentiable and the comparison meaningless).
 
     All parameter arrays are checked in one ``gradcheck`` call, in sorted
-    key order. The ±h perturbations of one array run in one batched
-    forward from stage 0 (``network.forward(..., variants=...)``; a few for
-    an array beyond gradcheck's batch bound), scored by
-    ``dice_per_sample``. Every batched op on a variant is an elementwise op
-    or a GEMM of the unbatched shape, so its arithmetic is that of a
-    forward with the perturbed array in place, bit for bit; per-sample dice
-    of a batch equals dice of each map alone, so every numeric gradient,
-    and so the row, is the same as from one forward per perturbation.
+    key order. Each ``evaluate`` call runs its chunks, the ±h
+    perturbations of consecutive arrays up to gradcheck's bound, in one
+    batched forward (``network.forward(..., variants=[...])``), scored by
+    ``dice_per_sample``: three forwards for the reduced network's 23
+    arrays. Every batched op on a variant is an elementwise op, a
+    reduction within one map, or a GEMM of the unbatched shape, so its
+    arithmetic is that of a forward with the perturbed array in place, bit
+    for bit; per-sample dice of a batch equals dice of each map alone, so
+    every numeric gradient, and so the row, is the same as from one
+    forward per perturbation.
     """
     cfg = REDUCED_CONFIG
     assignment = network.assign_activations(
@@ -293,8 +302,9 @@ def check_network(seed: int) -> float:
 
         return np.float64(loss), vjp
 
-    def evaluate(i, values):
-        probs, _ = network.forward(model, image, variants=(keys[i], values))
+    def evaluate(chunks):
+        probs, _ = network.forward(model, image,
+                                   variants=[(keys[i], values) for i, values in chunks])
         return dice_per_sample(probs, np.broadcast_to(target, probs.shape))
 
     return gradcheck(fn, [params[key] for key in keys], h=E2E_STEP, cotangent_seed=seed,

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from stoseg import cli, data, ensemble, network
+from stoseg import cli, data, ensemble, network, suite
 from stoseg.activations import ActivationKind
 from stoseg.losses import TrainConfig
 from stoseg.metrics import CSV_COLUMNS
@@ -278,3 +278,24 @@ class TestMainErrors:
         assert cli.main(["synth", "--config", path, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}:2: unknown config key")
         assert not out.exists()
+
+
+class TestGradcheck:
+    """``stoseg gradcheck`` prints one row per check of the suite and a
+    summary, and exits 1 when a row fails."""
+
+    def test_every_row_passes(self, capsys):
+        assert cli.main(["gradcheck"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 24
+        assert all(re.fullmatch(r"PASS \S+: max_err=\S+ tol=1e-0[34]", line) for line in lines[:23])
+        assert lines[-1] == "gradient suite: PASS"
+
+    def test_a_failing_check_fails_the_suite(self, capsys, monkeypatch):
+        # run_suite builds its table on each call, so it reads the patch
+        monkeypatch.setattr(suite, "check_network", lambda seed: 1.0)
+        assert cli.main(["gradcheck"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2:] == ["FAIL network/end_to_end: max_err=1.000e+00 tol=1e-03",
+                              "gradient suite: FAIL"]
+        assert sum(line.startswith("PASS ") for line in lines) == 22

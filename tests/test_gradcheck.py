@@ -110,12 +110,13 @@ def test_evaluate_gets_plus_then_minus_copies_in_c_order():
     x = SplitMix64(4).normal_array((2, 3)).T  # a strided input
     calls = []
 
-    def evaluate(k, values):
-        calls.append(values)
-        return np.stack([square(v)[0] for v in values])
+    def evaluate(chunks):
+        calls.append(chunks)
+        return np.concatenate([np.stack([square(v)[0] for v in values]) for _, values in chunks])
 
     assert gradcheck(square, [x], h=0.5, evaluate=evaluate) < 1e-9
-    (values,) = calls
+    ((k, values),) = calls[0]
+    assert len(calls) == 1 and k == 0
     assert values.shape == (12, 3, 2)
     for i, index in enumerate(np.ndindex(x.shape)):
         for row, step in ((values[i], 0.5), (values[6 + i], -0.5)):
@@ -131,7 +132,8 @@ def test_batched_evaluate_gives_the_default_float():
     def fn(v):
         return np.sin(v) * w, lambda u: [u * w * np.cos(v)]
 
-    def evaluate(k, values):
+    def evaluate(chunks):
+        ((_, values),) = chunks
         return np.sin(values) * w
 
     err = gradcheck(fn, [x])
@@ -144,7 +146,8 @@ def test_a_large_input_is_split_into_batches(monkeypatch):
     err = gradcheck(square, [x])
     sizes = []
 
-    def evaluate(k, values):
+    def evaluate(chunks):
+        ((_, values),) = chunks
         sizes.append(len(values))
         return values * values
 
@@ -157,6 +160,52 @@ def test_evaluate_output_checked():
     x = np.ones(3)
     message = r"shape \(6,\) for 6 perturbations of an output of shape \(3,\)"
     with pytest.raises(ValueError, match=message):
-        gradcheck(square, [x], evaluate=lambda k, values: values.sum(axis=1))
+        gradcheck(square, [x], evaluate=lambda chunks: chunks[0][1].sum(axis=1))
     with pytest.raises(GradcheckError, match="perturbed"):
-        gradcheck(square, [x], evaluate=lambda k, values: values + np.inf)
+        gradcheck(square, [x], evaluate=lambda chunks: chunks[0][1] + np.inf)
+
+
+def test_chunks_of_consecutive_inputs_share_a_call(monkeypatch):
+    """Each row costs max(input size, output size) values of the bound: a
+    call is filled from consecutive inputs in order, at most one chunk of
+    each, and an empty input adds none."""
+    def fn(a, b, c, d):
+        y = np.concatenate([a.ravel()**2, np.sin(b), c.ravel(), d**3])
+
+        def vjp(u):
+            ua, ub, ud = u[:6], u[6:9], u[9:]
+            return [(2.0 * ua * a.ravel()).reshape(a.shape), ub * np.cos(b),
+                    np.zeros(c.shape), 3.0 * ud * d**2]
+        return y, vjp
+
+    rng = SplitMix64(7)
+    inputs = [rng.normal_array((2, 3)), rng.normal_array((3,)), np.empty((0, 2)),
+              rng.normal_array((5,))]
+
+    def fn_of(k):
+        """fn as a function of input k alone."""
+        def one(v):
+            y, vjp = fn(*inputs[:k], v, *inputs[k + 1 :])
+            return y, lambda u: [vjp(u)[k]]
+        return one
+
+    calls = []
+
+    def evaluate(chunks):
+        calls.append([(k, len(values)) for k, values in chunks])
+        return np.concatenate([np.stack([fn_of(k)(v)[0] for v in values])
+                               for k, values in chunks])
+
+    err = gradcheck(fn, inputs)
+    assert 0.0 < err < 1e-4
+    assert err == max(gradcheck(fn_of(k), [inputs[k]]) for k in range(len(inputs)))
+    # the output has 14 values, so every row costs 14: 6 rows fill a bound of 84
+    monkeypatch.setattr(gradcheck_module, "_BATCH_VALUES", 14 * 6)
+    assert gradcheck(fn, inputs, evaluate=evaluate) == err
+    assert calls == [[(0, 6)], [(0, 6)], [(1, 6)], [(3, 6)], [(3, 4)]]
+    # 9 rows of 14 values: the rest of input 0 and input 1 share a call,
+    # and so do the rest of input 1 and input 3
+    calls.clear()
+    monkeypatch.setattr(gradcheck_module, "_BATCH_VALUES", 14 * 9)
+    assert gradcheck(fn, inputs, evaluate=evaluate) == err
+    assert calls == [[(0, 8)], [(0, 4), (1, 4)], [(1, 2), (3, 6)], [(3, 4)]]

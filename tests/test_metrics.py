@@ -45,6 +45,29 @@ class TestConfusion:
         with pytest.raises(ValueError, match="binary"):
             confusion(bad, np.zeros((1, 2), dtype=np.uint8))
 
+    @pytest.mark.parametrize("mask", [
+        pytest.param(np.array([[0.0, np.nan]]), id="nan"),
+        pytest.param(np.array([[1.0, 2.0]]), id="two"),
+        pytest.param(np.array([[0.5, 1.0]]), id="half"),
+        pytest.param(np.array([[-0.0, 1.0]]), id="negative_zero"),
+        pytest.param(np.array([[-0.0, -0.0]]), id="all_negative_zero"),
+        pytest.param(np.array([[True, False]]), id="bool"),
+        pytest.param(np.array([[1, 0]], dtype=np.int64), id="int"),
+        pytest.param(np.zeros((0, 2)), id="empty"),
+    ])
+    def test_binary_rule_is_the_unique_rule(self, mask):
+        """Exactly the masks whose distinct values are all in (0, 1) pass."""
+        want = np.isin(np.unique(mask), (0, 1)).all()
+        zeros = np.zeros(mask.shape, dtype=np.uint8)
+        for pred, gt, name in ((mask, zeros, "prediction"), (zeros, mask, "ground truth")):
+            if want:
+                assert confusion(pred, gt).total == mask.size
+            else:
+                message = f"{name} mask is not binary (values {np.unique(mask)[:8]})"
+                with pytest.raises(ValueError) as info:
+                    confusion(pred, gt)
+                assert str(info.value) == message
+
     def test_counts_total_matches_pixels(self):
         pred, gt = random_masks(3, (13, 7))
         assert confusion(pred, gt).total == 13 * 7

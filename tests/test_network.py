@@ -217,8 +217,8 @@ class TestPredictBlocks:
 
 
 class TestVariants:
-    """forward(..., variants=(key, values)) runs one image under B values of
-    one parameter array on the batch axis."""
+    """forward(..., variants=[(key, values), ...]) runs one image under B_i
+    values of each named parameter array on the batch axis."""
 
     @staticmethod
     def variant_values(p, dtype, seed, count=3):
@@ -226,11 +226,14 @@ class TestVariants:
         step = (rng.uniform_array(count * p.size).reshape((count,) + p.shape) - 0.5) * 0.2
         return (p[None] + step).astype(dtype)
 
+    @staticmethod
+    def image(dtype, seed=5):
+        return SplitMix64(seed).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16).astype(dtype)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_a_forward_with_the_values_in_place(self, dtype):
-        """Three variants and one: with one, every stage's largest batch is
-        1, as in a forward without variants."""
-        img = SplitMix64(5).uniform_array(3 * 16 * 16).reshape(1, 3, 16, 16).astype(dtype)
+        """Three variants and one of a single key."""
+        img = self.image(dtype)
         for m in TestPredictBlocks.pool_models(dtype):
             for i, (key, p) in enumerate(sorted(m.parameters().items())):
                 for count in (3, 1):
@@ -242,24 +245,60 @@ class TestVariants:
                             want.append(network.forward(m, img)[0][0])
                     finally:
                         p[...] = orig
-                    got, _ = network.forward(m, img, variants=(key, values))
+                    got, _ = network.forward(m, img, variants=[(key, values)])
                     assert got.dtype == dtype and got.shape == (count, 2, 16, 16)
                     for b, w in enumerate(want):
                         assert np.array_equal(got[b], w), (key, count, b)
                     assert np.array_equal(p, orig)
 
+    def assert_rows_are_one_key_forwards(self, m, img, values, order):
+        got, _ = network.forward(m, img, variants=[(key, values[key]) for key in order])
+        want = [network.forward(m, img, variants=[(key, values[key])])[0] for key in order]
+        assert got.shape == (sum(len(values[key]) for key in order), 2, 16, 16)
+        assert np.array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_key_in_one_call(self, dtype):
+        """Every parameter array of the pool models (all 17 kinds), in
+        sorted and in reversed key order: each key's rows are those of its
+        one-key forward, in the order given."""
+        img = self.image(dtype, 7)
+        for m in TestPredictBlocks.pool_models(dtype):
+            params = sorted(m.parameters().items())
+            values = {key: self.variant_values(p, dtype, i, 1 + i % 3)
+                      for i, (key, p) in enumerate(params)}
+            for order in (sorted(values), sorted(values, reverse=True)):
+                self.assert_rows_are_one_key_forwards(m, img, values, order)
+
+    def test_pyramid_branches_join_next_to_their_neighbours(self):
+        """Keys of two of the three pyramid branches, of both convs and
+        sites, with keys of the stages before and after the pyramid."""
+        cfg = small_config()
+        m = noised_model(cfg, 11, asn=tuple([ActivationKind.PRELU] * cfg.site_count))
+        img = self.image(np.float64, 12)
+        params = m.parameters()
+        order = ["fuse.w", "aspp2.b", "act3.params", "down2.b", "aspp0.w", "act5.params",
+                 "act2.params", "act6.params", "aspp2.w", "down1.w"]
+        values = {key: self.variant_values(params[key], np.float64, i, 2)
+                  for i, key in enumerate(order)}
+        self.assert_rows_are_one_key_forwards(m, img, values, order)
+        self.assert_rows_are_one_key_forwards(m, img, values, order[::-1])
+
     def test_rejects_what_it_cannot_run(self):
         m = noised_model(small_config(), 3)
         img = SplitMix64(6).uniform_array(2 * 3 * 16 * 16).reshape(2, 3, 16, 16)
         one = img[:1]
-        w = m.params["down2.w"]
+        w, b = m.params["down2.w"], m.params["down2.b"]
         cases = [
-            (img, ("down2.w", w[None]), "'down2.w' take one image, got 2"),
-            (one, ("down3.w", w[None]), "unknown variant key 'down3.w'"),
-            (one, ("down2.w", w),
-             r"have shape \(8, 8, 3, 3\), expected \(B >= 1,\) \+ \(8, 8, 3, 3\)"),
-            (one, ("down2.w", w[None, :1]), "have shape"),
-            (one, ("down2.w", w[None][:0]), r"have shape \(0, 8, 8, 3, 3\)"),
+            (img, [("down2.w", w[None])], "'down2.w' take one image, got 2"),
+            (one, [("down2.b", b[None]), ("down3.w", w[None])], "unknown variant key 'down3.w'"),
+            (one, [("down2.w", w[None]), ("down2.b", b[None]), ("down2.w", w[None])],
+             "variant key 'down2.w' is given twice"),
+            (one, [("down2.w", w)],
+             r"'down2.w' have shape \(8, 8, 3, 3\), expected \(B >= 1,\) \+ \(8, 8, 3, 3\)"),
+            (one, [("down2.b", b[None]), ("down2.w", w[None, :1])], "'down2.w' have shape"),
+            (one, [("down2.w", w[None][:0])], r"'down2.w' have shape \(0, 8, 8, 3, 3\)"),
+            (one, [], "at least one"),
         ]
         for images, variants, message in cases:
             with pytest.raises(ValueError, match=message):
