@@ -17,7 +17,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -170,30 +170,35 @@ def train_ensemble(
     return Ensemble(members=models, spec=spec)
 
 
-def fuse_probs(maps: Sequence[np.ndarray]) -> np.ndarray:
+def fuse_probs(maps: Iterable[np.ndarray]) -> np.ndarray:
     """Sum-rule fusion: the arithmetic mean of the members' probability maps.
 
     Computed in float64 as ``m0 + sum(mi - m0) / N``, summing the deviations
     in member order. The deviations of copies from the first map are exactly
     zero, so fusing N copies of a map returns the map itself in float32 and
     float64 alike, and member order changes the result only by float64
-    rounding. The inputs are cast to float64 inside the ufuncs, so the only
-    full-size temporaries are the running total and one deviation.
+    rounding. ``maps`` may be any iterable, a generator included: each map
+    is added to the running total as it arrives, so besides the first map
+    only the one being made or added is held. The inputs are cast to
+    float64 inside the ufuncs, so the only full-size temporaries are the
+    running total and one deviation.
     """
-    maps = list(maps)
-    if not maps:
+    maps = iter(maps)
+    first = next(maps, None)
+    if first is None:
         raise ValueError("cannot fuse an empty list of probability maps")
-    shape = maps[0].shape
-    for i, m in enumerate(maps):
-        if m.shape != shape:
-            raise ValueError(f"map {i} has shape {m.shape}, expected {shape}")
-    total = np.zeros(shape, np.float64)
+    total = np.zeros(first.shape, np.float64)
     dev = np.empty_like(total)
-    for m in maps[1:]:
-        np.subtract(m, maps[0], out=dev, dtype=np.float64)
+    count = 1
+    for m in maps:
+        if m.shape != first.shape:
+            raise ValueError(f"map {count} has shape {m.shape}, expected {first.shape}")
+        np.subtract(m, first, out=dev, dtype=np.float64)
         total += dev
-    total /= len(maps)
-    total += maps[0]
+        count += 1
+        del m  # so the next map is made while only the first is held
+    total /= count
+    total += first
     return total
 
 
@@ -201,12 +206,13 @@ def evaluate_models(
     models: Sequence[Model], test_set: Sequence[Sample], input_size: int
 ) -> MetricReport:
     """Shared evaluation path: resize in, predict, fuse, resize back, score
-    per image at the original resolution, then macro-average."""
+    per image at the original resolution, then macro-average. Members are
+    predicted one at a time as fusion takes their maps."""
     test_set = list(test_set)
     if not test_set:
         raise ValueError("test set is empty")
     images = np.stack([resize_for_train(s, input_size).image for s in test_set])
-    fused = fuse_probs([predict_batch(m, images) for m in models])
+    fused = fuse_probs(predict_batch(m, images) for m in models)
     pairs = []
     for i, s in enumerate(test_set):
         pred = resize_pred_back(fused[i, 1], s.orig_size)

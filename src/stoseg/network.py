@@ -21,19 +21,35 @@ num_classes channels instead of fuse_width, and runs the head at the
 encoder's resolution. The forward and backward passes, the site count and
 channels, parameter init and checkpoint validation all walk the table.
 
-``predict_batch`` runs ``forward`` over consecutive blocks of
-``_PREDICT_BLOCK`` (4) images and writes each block's probabilities into one
-preallocated output. Every op of the forward pass works per image or per
-pixel (the conv's batched matmul is one GEMM of the same shape per image),
-so the result is bit-identical to one pass over the whole batch; blocking
-only bounds the intermediates. At the default config, numpy's traced peak
-while one member predicts 64 images is about 7.7 MB (2 MB of it the output)
-instead of 91 MB in one pass. A block of 4 keeps a block's working set
-(about 5 MB) below the heap-trim threshold that glibc's malloc adapts to the
-largest array freed so far, so the next block reuses the pages one block
-frees. With blocks of 8 (about 10 MB), unless a larger array had been freed
-before, those pages went back to the kernel and were faulted in again for
-every block.
+``predict_batch`` runs ``forward`` over consecutive blocks of images and
+writes each block's probabilities into its own rows of one preallocated
+output. Every op of the forward pass works per image or per pixel (the
+conv's batched matmul is one GEMM of the same shape per image), so the
+result is bit-identical to one pass over the whole batch; blocking only
+bounds the intermediates, to those of ``_PREDICT_BLOCK`` (4) images in
+flight.
+
+With more than one block's worth of images and at least two usable CPUs,
+the blocks are halves (2 images), and the caller's thread and one worker
+thread take them in turn, so two half-blocks are in flight. numpy releases
+the GIL inside the GEMMs, ufunc loops and copies that take most of a
+block's time, and a block reads only the model and its own images and
+writes only its own rows, so the bits stay the same. Two threads, not one
+per CPU: the Python between numpy calls still holds the GIL, and each block
+in flight adds its working set to the peak. The worker lives inside the
+call and is joined before the call returns or raises, so no thread is alive
+when ``train_ensemble``'s process pool forks.
+
+Memory: at the default config, numpy's traced peak while one member
+predicts 64 images is about 7.7 MB (2 MB of it the output) instead of 91 MB
+in one pass. Four images in flight (about 5 MB) stay below the heap-trim
+threshold that glibc's malloc adapts to the largest array freed so far, so
+the next blocks reuse the pages the last ones freed; with blocks of 8
+(about 10 MB) those pages went back to the kernel and were faulted in again
+for every block. The worker thread allocates from its own malloc arena and
+BLAS buffer, beside pages the caller's arena already holds, so two whole
+blocks of 4 in flight (13 MB traced) raised a scored relu ensemble's peak
+RSS by 9-18%, against 5-10% for two halves.
 
 Gradients are exchanged as a "GradMap": a plain dict from parameter name
 ("stem.w", "act0.params", ...) to an array of the parameter's shape. Every
@@ -47,6 +63,7 @@ import io
 import json
 import os
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -69,7 +86,7 @@ CHECKPOINT_FORMAT = "stoseg-model"
 CHECKPOINT_VERSION = 1
 
 _UPSAMPLE = 4  # decoder upsampling factor
-_PREDICT_BLOCK = 4  # images per forward pass in predict_batch
+_PREDICT_BLOCK = 4  # images in flight in predict_batch
 
 Layer = tuple[str, ops.ConvSpec]
 
@@ -352,17 +369,44 @@ def backward(model: Model, cache: dict, dprobs: np.ndarray) -> dict[str, np.ndar
     return grads
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
     """Probability maps (n, 2, S, S) for (n, 3, S, S) images, cast to the
-    model's dtype: ``forward`` over consecutive blocks of ``_PREDICT_BLOCK``
-    images, each written into one preallocated output. Bit-identical to
-    ``forward(model, images)[0]``, with the working set of one block."""
+    model's dtype: ``forward`` over consecutive blocks of images, each
+    written into its own rows of one preallocated output. Bit-identical to
+    ``forward(model, images)[0]``, with the working set of
+    ``_PREDICT_BLOCK`` images.
+
+    Up to ``_PREDICT_BLOCK`` images, or with one usable CPU, the caller runs
+    blocks of ``_PREDICT_BLOCK`` one after another. Otherwise the blocks are
+    halves, the caller taking the even ones and one worker thread the odd
+    ones. The worker is joined before this returns or raises; an error of
+    either thread's blocks is raised (the caller's if both fail)."""
     images = images.astype(model.dtype, copy=False)
     _check_images(model.config, images)
     n, _, size, _ = images.shape
     probs = np.empty((n, model.config.num_classes, size, size), model.dtype)
-    for i in range(0, n, _PREDICT_BLOCK):
-        probs[i : i + _PREDICT_BLOCK] = forward(model, images[i : i + _PREDICT_BLOCK])[0]
+    threaded = n > _PREDICT_BLOCK and _usable_cpus() > 1
+    step = _PREDICT_BLOCK // 2 if threaded else _PREDICT_BLOCK
+    starts = range(0, n, step)
+
+    def run(block_starts):
+        for i in block_starts:
+            probs[i : i + step] = forward(model, images[i : i + step])[0]
+
+    if threaded:
+        with ThreadPoolExecutor(1) as pool:
+            odd = pool.submit(run, starts[1::2])
+            run(starts[::2])
+            odd.result()
+    else:
+        run(starts)
     return probs
 
 

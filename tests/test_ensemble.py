@@ -110,9 +110,26 @@ class TestFuseProbs:
         with pytest.raises(ValueError, match="shape"):
             ensemble.fuse_probs([np.zeros((2, 2, 2)), np.zeros((2, 3, 3))])
 
+    def test_shape_mismatch_in_a_generator_names_its_index(self):
+        maps = [np.zeros((2, 2, 2))] * 2 + [np.zeros((2, 3, 3))]
+        with pytest.raises(ValueError, match=r"map 2 has shape \(2, 3, 3\)"):
+            ensemble.fuse_probs(m for m in maps)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ensemble.fuse_probs([])
+
+    def test_empty_iterable_rejected(self):
+        with pytest.raises(ValueError, match="cannot fuse an empty list"):
+            ensemble.fuse_probs(m for m in [])
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_generator_gives_the_bytes_of_the_list(self, n):
+        rng = SplitMix64(n + 10)
+        maps = [rng.uniform_array(2 * 4 * 4).reshape(2, 4, 4).astype(np.float32)
+                for _ in range(n)]
+        want = ensemble.fuse_probs(maps)
+        assert ensemble.fuse_probs(m for m in maps).tobytes() == want.tobytes()
 
     def test_no_float64_copy_per_member(self):
         # four float32 maps of 64 images at 64x64; the float64 total and one
@@ -308,6 +325,27 @@ class TestEvaluate:
         ens = ensemble.train_ensemble(tiny_spec(size=1), train)
         with pytest.raises(ValueError, match="empty"):
             ensemble.ensemble_evaluate(ens, [])
+
+    def test_members_are_fused_as_they_are_predicted(self, monkeypatch):
+        """Scoring holds the first member's map and one other, so four more
+        members add less than one map to the traced peak."""
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 1)  # like for like peaks
+        cfg = tiny_spec().network
+        models = [network.build_model(cfg, (ActivationKind.RELU,) * cfg.site_count, seed)
+                  for seed in range(6)]
+        test = list(data.synth_blobs(32, 16, 8))
+        map_bytes = 32 * 2 * 16 * 16 * 4
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for n in (2, 6):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                ensemble.evaluate_models(models[:n], test, cfg.input_size)
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[6] <= peaks[2] + map_bytes, peaks
 
     def test_evaluation_is_deterministic(self, tiny_data):
         train, test = tiny_data

@@ -2,6 +2,8 @@ import dataclasses
 import io
 import json
 import re
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -165,8 +167,13 @@ def noised_model(cfg, seed, dtype=np.float64, asn=None):
     return m
 
 
+def small_images(n, dtype=np.float32):
+    return SplitMix64(n).uniform_array(n * 3 * 16 * 16).reshape(n, 3, 16, 16).astype(dtype)
+
+
 class TestPredictBlocks:
-    """predict_batch runs forward over blocks of _PREDICT_BLOCK images."""
+    """predict_batch runs forward over blocks of _PREDICT_BLOCK images, or
+    over half-blocks in two threads when there are more images and two CPUs."""
 
     @staticmethod
     def pool_models(dtype):
@@ -182,12 +189,71 @@ class TestPredictBlocks:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
     def test_equals_one_forward_bit_for_bit(self, dtype, n):
-        img = SplitMix64(n).uniform_array(n * 3 * 16 * 16).reshape(n, 3, 16, 16).astype(dtype)
+        img = small_images(n, dtype)
         for m in self.pool_models(dtype):
             got = network.predict_batch(m, img)
             want, _ = network.forward(m, img)
             assert got.dtype == want.dtype == dtype
             assert np.array_equal(got, want)
+
+    @pytest.fixture(scope="class")
+    def default_case(self):
+        cfg = network.NetworkConfig()
+        img = SplitMix64(15).uniform_array(64 * 3 * 64 * 64).reshape(64, 3, 64, 64)
+        return noised_model(cfg, 16, np.float32), img.astype(np.float32)
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 8, 9, 12, 64])
+    def test_default_config_equals_one_forward(self, default_case, n):
+        m, img = default_case
+        got = network.predict_batch(m, img[:n])
+        assert got.dtype == np.float32
+        assert np.array_equal(got, network.forward(m, img[:n])[0])
+
+    def test_short_switch_interval_keeps_the_bits(self, monkeypatch):
+        # the two threads hand the GIL over at nearly every bytecode
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 2)
+        m = noised_model(small_config(), 3, np.float32)
+        img = small_images(41)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = network.predict_batch(m, img)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, network.forward(m, img)[0])
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        m = noised_model(small_config(), 4, np.float32)
+        img = small_images(17)
+        want = network.predict_batch(m, img)
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(network, "ThreadPoolExecutor", no_threads)
+        assert network.predict_batch(m, img).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("start", [2, 4])  # a block of the worker, then of the caller
+    def test_a_failing_block_raises_and_leaves_no_thread(self, monkeypatch, start):
+        m = noised_model(small_config(), 5, np.float32)
+        img = np.repeat(np.arange(12, dtype=np.float32), 3 * 16 * 16).reshape(12, 3, 16, 16)
+        forward = network.forward
+
+        def failing_forward(model, images, **kwargs):
+            if images[0, 0, 0, 0] == start:
+                raise RuntimeError(f"block at image {start}")
+            return forward(model, images, **kwargs)
+
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 2)
+        threads = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(network, "forward", failing_forward)
+            with pytest.raises(RuntimeError, match=f"block at image {start}"):
+                network.predict_batch(m, img)
+        assert threading.active_count() == threads
+        network.predict_batch(m, img)
+        assert threading.active_count() == threads
 
     def test_peak_memory_is_one_block(self):
         cfg = network.NetworkConfig()
