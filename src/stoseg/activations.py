@@ -483,7 +483,8 @@ def act_forward(x: np.ndarray, state: ActivationState) -> np.ndarray:
 
 def act_forward_variants(x: np.ndarray, state: ActivationState, values: np.ndarray) -> np.ndarray:
     """``act_forward(x, ·)`` under each of B parameter arrays ``values``
-    (B, p, channels) of the state's kind, stacked as (B, n, c, h, w).
+    (B, p, channels) of the state's kind: B*n rows on the batch axis,
+    variant b's at b*n .. b*n + n - 1.
 
     The variants fold into the channels of one call: channel b*c + j of
     ``x`` tiled B times reads ``values[b, :, j]``. Every kind works per
@@ -498,7 +499,7 @@ def act_forward_variants(x: np.ndarray, state: ActivationState, values: np.ndarr
     folded = ActivationState(state.kind,
                              values.transpose(1, 0, 2).reshape(len(state.params), nb * c))
     y = act_forward(np.tile(x, (1, nb, 1, 1)), folded)
-    return y.reshape(n, nb, c, h, w).swapaxes(0, 1)
+    return y.reshape(n, nb, c, h, w).swapaxes(0, 1).reshape(-1, c, h, w)
 
 
 def act_backward(x: np.ndarray, state: ActivationState, upstream: np.ndarray):

@@ -9,7 +9,7 @@ exactly one of them is empty, the affected ratios are 0.0.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -94,11 +94,6 @@ def evaluate_set(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> MetricReport
     if not pairs:
         raise ValueError("cannot evaluate an empty set of mask pairs")
     reports = [metrics_from_counts(confusion(p, g)) for p, g in pairs]
-    return mean_report(reports)
-
-
-def mean_report(reports: Iterable[MetricReport]) -> MetricReport:
-    reports = list(reports)
     k = len(reports)
     return MetricReport(**{
         f.name: sum(getattr(r, f.name) for r in reports) / k for f in fields(MetricReport)

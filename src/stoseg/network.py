@@ -211,35 +211,22 @@ def build_model(
     return Model(config=config, params=params, acts=acts, init_seed=init_seed)
 
 
-def _conv(model: Model, layer: Layer, x: np.ndarray, joins: dict, joined: list) -> np.ndarray:
-    """The layer's conv of the batch ``x``. A variant key in ``joins`` that
-    names this layer's weight or bias appends its rows: ``ops.conv2d_variants``
-    of row 0, variant b equal to the conv with ``values[b]`` in place, bit
-    for bit. Keys that join are appended to ``joined``."""
-    name, spec = layer
-    w, b = model.params[f"{name}.w"], model.params[f"{name}.b"]
-    y = ops.conv2d(x, w, b, spec)
-    rows = [y]
-    for key in (f"{name}.w", f"{name}.b"):
-        if key in joins:
-            weights, biases = ((joins[key], b[None]) if key == f"{name}.w"
-                               else (w[None], joins[key]))
-            rows.append(ops.conv2d_variants(x[:1], weights, biases, spec)[:, 0])
-            joined.append(key)
-    return y if len(rows) == 1 else np.concatenate(rows)
-
-
-def _act(model: Model, site: int, z: np.ndarray, joins: dict, joined: list) -> np.ndarray:
-    """Site ``site``'s activation of the batch ``z``; a variant key in
-    ``joins`` naming its parameters appends the rows of
-    ``act_forward_variants`` of row 0."""
-    st = model.acts[site]
-    y = act_forward(z, st)
-    key = f"act{site}.params"
+def _join(y: np.ndarray, key: str, joins: dict, joined: list, rows) -> np.ndarray:
+    """``y`` with the rows ``rows(values)`` of variant key ``key`` appended if
+    ``joins`` names it, and the key appended to ``joined``, the join order."""
     if key not in joins:
         return y
     joined.append(key)
-    return np.concatenate([y, act_forward_variants(z[:1], st, joins[key])[:, 0]])
+    return np.concatenate([y, rows(joins[key])])
+
+
+def _conv(model: Model, layer: Layer, x: np.ndarray, joins: dict, joined: list) -> np.ndarray:
+    """The layer's conv of the batch ``x``, joined by its weight's, then its bias's variants."""
+    name, spec = layer
+    w, b = model.params[f"{name}.w"], model.params[f"{name}.b"]
+    y = ops.conv2d(x, w, b, spec)
+    y = _join(y, f"{name}.w", joins, joined, lambda ws: ops.conv2d(x[:1], ws, b, spec))
+    return _join(y, f"{name}.b", joins, joined, lambda bs: ops.conv2d(x[:1], w, bs, spec))
 
 
 def _join_branches(outs: list[np.ndarray], n: int) -> list[np.ndarray]:
@@ -304,17 +291,17 @@ def forward(model: Model, images: np.ndarray, *, variants=None):
     array's shape, and ``probs`` holds sum(B_i) rows, the keys' rows in the
     order given; row b of a key equals a forward with ``values[b]`` in
     place of its array, bit for bit. The batch starts as row 0, the
-    unperturbed image. Each key's rows join at its own layer, from row 0's
-    input there: a conv weight or bias runs one GEMM of the unbatched shape
-    per variant (``ops.conv2d_variants``), activation parameters fold into
-    the channels of one activation call (``act_forward_variants``). The
-    later layers run with the base parameters on the whole batch, so rows
-    of several keys ride next to each other. In a stage with several
-    branches, each branch's row 0 stands in for the new rows of the other
-    branches, whose stage input is row 0's. Every op on a row is
-    elementwise, a reduction within one map, or a GEMM of the unbatched
-    shape, which is why the bits are kept. The cache then holds the batched
-    intermediates, row 0 first, which ``backward`` does not take.
+    unperturbed image. Variants are rows on the batch axis: each key's rows
+    join at its own layer (``_join``), from row 0's input there, as the
+    rows of ``ops.conv2d`` with a leading axis of weights or biases, or of
+    ``act_forward_variants``. The later layers run with the base
+    parameters on the whole batch, so rows of several keys ride next to
+    each other. In a stage with several branches, each branch's row 0
+    stands in for the new rows of the other branches, whose stage input is
+    row 0's. Every op on a row is elementwise, a reduction within one map,
+    or a GEMM of the unbatched shape, which is why the bits are kept. The
+    cache then holds the batched intermediates, row 0 first, which
+    ``backward`` does not take.
     """
     _check_images(model.config, images)
     joins = {} if variants is None else _check_variants(model, images, variants)
@@ -325,7 +312,9 @@ def forward(model: Model, images: np.ndarray, *, variants=None):
         outs = []
         for layer in stage:
             pre.append(_conv(model, layer, xs[-1], joins, joined))
-            outs.append(_act(model, len(pre) - 1, pre[-1], joins, joined))
+            z, st = pre[-1], model.acts[len(pre) - 1]
+            outs.append(_join(act_forward(z, st), f"act{len(pre) - 1}.params", joins, joined,
+                              lambda values: act_forward_variants(z[:1], st, values)))
         outs = _join_branches(outs, len(xs[-1]))
         xs.append(outs[0] if len(outs) == 1 else np.concatenate(outs, axis=1))
     head = _conv(model, model.config.head, xs[-1], joins, joined)

@@ -8,6 +8,7 @@ im2col + GEMM over a read-only strided view of the padded input's patches:
 no index arrays and no gather. A padded input is copied once into a zeroed
 buffer (an unpadded one is viewed in place), the view is flattened with at
 most one more copy, and the bias is added into the GEMM's output.
+Parameter variants are rows on the batch axis (see ``conv2d``).
 
 The convolution's backward pass builds no im2col columns. It copies the
 padded input once into its stride phases, each phase's rows extended to a
@@ -78,12 +79,14 @@ class ConvSpec:
 
 
 def _check_conv_args(x, weight, spec, bias=None):
+    """With ``bias`` (the forward), ``weight`` and ``bias`` may each carry one
+    leading axis of variants; without (the backward), ``weight`` may not."""
     if x.ndim != 4:
         raise ValueError(f"input must be 4-D (n, c, h, w), got ndim {x.ndim}")
     want_w = (spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w)
-    if weight.shape != want_w:
+    if weight.shape[-4:] != want_w or weight.ndim > 4 + (bias is not None):
         raise ValueError(f"weight shape {weight.shape} != spec kernel {want_w}")
-    if bias is not None and bias.shape != (spec.out_channels,):
+    if bias is not None and (bias.shape[-1:] != (spec.out_channels,) or bias.ndim > 2):
         raise ValueError(
             f"bias length {bias.shape} != out_channels {spec.out_channels}"
         )
@@ -115,43 +118,27 @@ def _patches(x, spec, oh, ow):
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> np.ndarray:
     """2-D convolution with stride, zero padding, and dilation: one batched
     matmul of the weights with the flattened patch view, reducing over
-    c*kh*kw in a fixed order. The bias is added in place into the matmul's
-    output, so the result has the dtype of ``x`` and ``weight`` combined,
-    and a wider ``bias`` is cast down to it."""
+    c*kh*kw in a fixed order. The bias is added into the matmul's output,
+    in place in a plain call, so a wider ``bias`` is cast down.
+
+    Variants are rows on the batch axis: ``weight`` (B, cout, cin, kh, kw)
+    and/or ``bias`` (B, cout), whose leading axes broadcast, give B*n rows,
+    variant b's at b*n .. b*n + n - 1. Each weight array runs the plain
+    (cout, K) @ (K, P) GEMM on ``np.matmul``'s batch axis against one set of
+    columns, so every row equals a plain conv's bit for bit; folding the
+    variants into the output channels would run one GEMM of B times the
+    rows, which BLAS may round differently."""
     _check_conv_args(x, weight, spec, bias)
     n, _, h, w = x.shape
     oh, ow = spec.output_hw(h, w)
     cols = _patches(x, spec, oh, ow).reshape(n, -1, oh * ow)
-    wmat = weight.reshape(spec.out_channels, -1)
-    y = np.matmul(wmat, cols)
-    y += bias[:, None]
-    return y.reshape(n, spec.out_channels, oh, ow)
-
-
-def conv2d_variants(x: np.ndarray, weights: np.ndarray, biases: np.ndarray,
-                    spec: ConvSpec) -> np.ndarray:
-    """``conv2d`` of ``x`` (n, cin, h, w) under B weight and bias variants:
-    ``weights`` (B, cout, cin, kh, kw) and ``biases`` (B, cout), whose
-    leading axes broadcast, so either may hold one array. Returns
-    (B, n, cout, oh, ow).
-
-    Each weight array is conv2d's GEMM of the unbatched (cout, K) @ (K, P)
-    shape, stacked on ``np.matmul``'s batch axis against one set of im2col
-    columns of ``x`` (one weight array runs once for every bias variant),
-    and the bias is added as conv2d adds it; so variant b equals
-    ``conv2d(x, weights[b], biases[b], spec)`` bit for bit. Folding the
-    variants into the output channels instead would run one GEMM of B times
-    the rows, which BLAS may round differently."""
-    if weights.ndim != 5 or biases.ndim != 2:
-        raise ValueError(f"need weights (B, cout, cin, kh, kw) and biases (B, cout), "
-                         f"got shapes {weights.shape} and {biases.shape}")
-    _check_conv_args(x, weights[0], spec, biases[0])
-    n, _, h, w = x.shape
-    oh, ow = spec.output_hw(h, w)
-    cols = _patches(x, spec, oh, ow).reshape(n, -1, oh * ow)
-    wmats = weights.reshape(len(weights), 1, spec.out_channels, -1)
-    y = np.matmul(wmats, cols) + biases[:, None, :, None]
-    return y.reshape(y.shape[:3] + (oh, ow))
+    if weight.ndim == 4 and bias.ndim == 1:
+        y = np.matmul(weight.reshape(spec.out_channels, -1), cols)
+        y += bias[:, None]
+    else:
+        wmats = weight.reshape(-1, 1, spec.out_channels, cols.shape[1])
+        y = np.matmul(wmats, cols) + bias.reshape(-1, 1, spec.out_channels, 1)
+    return y.reshape(-1, spec.out_channels, oh, ow)
 
 
 def _phase_runs(n_in: int, p: int, s: int) -> list[tuple[slice, slice]]:

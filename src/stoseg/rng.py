@@ -66,8 +66,8 @@ class SplitMix64:
     def uniform(self) -> float:
         return float(self.uniform_array(1)[0])
 
-    def normal_array(self, shape, dtype=np.float64) -> np.ndarray:
-        """Standard normal draws via Box-Muller (cos block then sin block)."""
+    def normal_array(self, shape) -> np.ndarray:
+        """Standard normal float64 draws via Box-Muller (cos block then sin block)."""
         n = int(np.prod(shape)) if shape else 1
         m = (n + 1) // 2
         u1 = 1.0 - self.uniform_array(m)  # (0, 1] so log is finite
@@ -75,7 +75,7 @@ class SplitMix64:
         r = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * math.pi) * u2
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return z.reshape(shape).astype(dtype, copy=False)
+        return z.reshape(shape)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n); modulo bias is negligible for small n."""

@@ -9,12 +9,13 @@ included; no check copies them. ``gradcheck`` stacks the ±h perturbations
 of each input array and asks an ``evaluate`` callback for the outputs of a
 list of such chunks at a time; its default runs ``fn`` once per
 perturbation on the live array. Every check here passes a callback that
-runs each chunk in one batched call instead (``_each_chunk``). An input of
-an op that works on each map alone (an activation, a conv, the upsample,
-the softmax) carries them on the op's batch axis (``_on_batch_axis``); a
-loss scores the perturbed maps with a per-sample objective that equals its
-loss for a batch of one; conv weights and biases run one GEMM of the
-unbatched shape per perturbation (``ops.conv2d_variants``), and activation
+runs each chunk in one batched call instead (``_each_chunk``), by one
+rule: perturbations are rows on the batch axis. An input of an op that
+works on each map alone (an activation, a conv, the upsample, the softmax)
+carries them on the op's batch axis (``_on_batch_axis``); a loss scores
+the perturbed maps with a per-sample objective that equals its loss for a
+batch of one; conv weights and biases run as ``ops.conv2d``'s leading
+variants axis, one GEMM of the unbatched shape each, and activation
 parameters fold into channels (``act_forward_variants``). The end-to-end
 check is one ``gradcheck`` over every parameter array of the network; each
 ``evaluate`` call is one forward (``network.forward(..., variants=...)``)
@@ -133,7 +134,7 @@ def check_activation(kind: ActivationKind, seed: int) -> float:
     def evaluate(k, values):
         if k == 0:
             return _on_batch_axis(lambda v: act_forward(v, state), values)
-        return act_forward_variants(x, state, values)
+        return act_forward_variants(x, state, values).reshape((len(values),) + x.shape)
 
     return gradcheck(fn, [x, state.params], cotangent_seed=seed, evaluate=_each_chunk(evaluate))
 
@@ -142,8 +143,8 @@ def check_conv(seed: int) -> float:
     """Input, weight and bias gradients of one of four conv geometries.
 
     The perturbations of ``x`` run as one batch of images; those of the
-    weight or the bias run in one ``ops.conv2d_variants`` call, one GEMM of
-    the unbatched shape for each."""
+    weight or the bias as one ``ops.conv2d`` call's leading variants axis,
+    one GEMM of the unbatched shape for each."""
     rng = SplitMix64(derive_seed(seed, 0xC0))
     variants = [
         ops.ConvSpec(2, 2, 3, 3, stride=1, padding=1, dilation=1),
@@ -162,8 +163,8 @@ def check_conv(seed: int) -> float:
     def evaluate(k, values):
         if k == 0:
             return _on_batch_axis(lambda v: ops.conv2d(v, w, b, spec), values)
-        weights, biases = (values, b[None]) if k == 1 else (w[None], values)
-        return ops.conv2d_variants(x, weights, biases, spec)
+        y = ops.conv2d(x, values, b, spec) if k == 1 else ops.conv2d(x, w, values, spec)
+        return y[:, None]  # x is one image: (B, 1, cout, oh, ow)
 
     return gradcheck(fn, [x, w, b], cotangent_seed=seed, evaluate=_each_chunk(evaluate))
 

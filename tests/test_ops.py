@@ -373,6 +373,9 @@ class TestPaddedPatches:
 
 
 class TestConvVariants:
+    """``ops.conv2d`` with a leading variants axis on the weight, the bias or
+    both: B*n rows, each the plain conv's bits."""
+
     @pytest.mark.parametrize("kh,kw,stride,padding,dilation", [
         (3, 3, 1, 1, 1), (3, 3, 2, 1, 1), (3, 3, 1, 2, 2), (1, 1, 1, 0, 1), (2, 3, 2, 0, 1),
     ])
@@ -385,23 +388,31 @@ class TestConvVariants:
         x = rng.normal_array((n, 2, 6, 5)).astype(dtype)
         weights = rng.normal_array((4, 3, 2, kh, kw)).astype(dtype)
         biases = rng.normal_array((4, 3)).astype(dtype)
-        cases = [(weights, biases), (weights[:1], biases), (weights, biases[:1])]
+        w, b = weights[0], biases[0]
+        cases = [(weights, b), (w, biases), (weights, biases), (weights[:1], biases),
+                 (weights, biases[:1])]
         for ws, bs in cases:
-            y = ops.conv2d_variants(x, ws, bs, spec)
-            assert y.shape[:3] == (4, n, 3) and y.dtype == dtype
+            y = ops.conv2d(x, ws, bs, spec)
+            assert y.shape == (4 * n, 3) + spec.output_hw(6, 5) and y.dtype == dtype
             for v in range(4):
-                want = ops.conv2d(x, ws[v % len(ws)], bs[v % len(bs)], spec)
-                assert y[v].tobytes() == want.tobytes()
+                want = ops.conv2d(x, ws[v % len(ws)] if ws.ndim == 5 else ws,
+                                  bs[v % len(bs)] if bs.ndim == 2 else bs, spec)
+                assert y[v * n : v * n + n].tobytes() == want.tobytes()
 
     def test_shapes_checked(self):
         spec = ops.ConvSpec(3, 2, 3, 3)
         x = np.zeros((1, 2, 5, 5))
-        with pytest.raises(ValueError, match="need weights"):
-            ops.conv2d_variants(x, np.zeros((3, 2, 3, 3)), np.zeros((1, 3)), spec)
         with pytest.raises(ValueError, match="weight shape"):
-            ops.conv2d_variants(x, np.zeros((1, 3, 2, 1, 1)), np.zeros((1, 3)), spec)
+            ops.conv2d(x, np.zeros((1, 3, 2, 1, 1)), np.zeros((1, 3)), spec)
+        with pytest.raises(ValueError, match="weight shape"):
+            ops.conv2d(x, np.zeros((1, 1, 3, 2, 3, 3)), np.zeros(3), spec)
         with pytest.raises(ValueError, match="bias length"):
-            ops.conv2d_variants(x, np.zeros((1, 3, 2, 3, 3)), np.zeros((1, 2)), spec)
+            ops.conv2d(x, np.zeros((1, 3, 2, 3, 3)), np.zeros((1, 2)), spec)
+        with pytest.raises(ValueError, match="bias length"):
+            ops.conv2d(x, np.zeros((3, 2, 3, 3)), np.zeros((1, 1, 3)), spec)
+        # variants are forward only: the backward takes one weight array
+        with pytest.raises(ValueError, match="weight shape"):
+            ops.conv2d_backward(np.zeros((1, 3, 3, 3)), x, np.zeros((1, 3, 2, 3, 3)), spec)
 
 
 class TestUpsample:
