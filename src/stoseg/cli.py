@@ -285,7 +285,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--parallel", type=int, default=1,
-                        help="worker processes for ensemble member training")
+                        help="worker threads for ensemble member training")
     parser.add_argument("--checkpoint", help="model checkpoint (eval)")
     args = parser.parse_args(argv)
 

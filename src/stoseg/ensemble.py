@@ -4,7 +4,10 @@
 Member i's recipe derives from the spec alone: its seed is
 ``member_seeds(master_seed, size)[i]``, its mode picks the kinds
 (``_MODE_KINDS``) that ``assign_activations`` draws each site from with that
-seed, and its weights start from ``derive_seed(seed, _INIT_TAG)``.
+seed, and its weights start from ``derive_seed(seed, _INIT_TAG)``. The pool
+starts with relu, so ``act`` member 0 gets ``[relu]`` and the same seed as
+``relu`` member 0 under the same master seed: the two are one model, bit for
+bit, and an ``act`` ensemble shares that member with the ``relu`` one.
 ``save_ensemble`` checks each member against this recipe before it writes,
 and ``load_ensemble`` checks each member file.
 """
@@ -12,7 +15,7 @@ and ``load_ensemble`` checks each member file.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -119,19 +122,6 @@ def train_member(spec: EnsembleSpec, samples: Sequence[Sample], index: int):
     return train_model(build_member(spec, index), samples, spec.train)
 
 
-# A pool worker's training set, sent once per worker by the pool initializer.
-_worker_samples: list[Sample] = []
-
-
-def _set_worker_samples(samples: list[Sample]) -> None:
-    global _worker_samples
-    _worker_samples = samples
-
-
-def _train_worker_member(spec: EnsembleSpec, index: int):
-    return train_member(spec, _worker_samples, index)
-
-
 def check_parallel(parallel: int) -> None:
     """Reject a worker count below 1 for ``train_ensemble``."""
     if parallel < 1:
@@ -144,10 +134,11 @@ def train_ensemble(
     """Train all members independently on the same data.
 
     Each member's activation assignment and weight init derive only from
-    its own seed, so results are identical whether members run
-    sequentially or in a pool of ``min(parallel, spec.size)`` processes.
-    A pool receives the samples once per worker, through its initializer;
-    a member's job is only ``(spec, index)``.
+    its own seed, so results are identical whether members train one after
+    another in the caller's thread or in ``min(parallel, spec.size)``
+    worker threads, which share ``train_set``. A failure or an interrupt
+    starts no member still queued; the call returns once the members in
+    training are done.
     """
     check_parallel(parallel)
     samples = list(train_set)
@@ -158,9 +149,9 @@ def train_ensemble(
         if workers == 1:
             jobs = [partial(train_member, spec, samples, i) for i in range(spec.size)]
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=workers, initializer=_set_worker_samples, initargs=(samples,)))
-            jobs = [pool.submit(_train_worker_member, spec, i).result for i in range(spec.size)]
+            pool = ThreadPoolExecutor(max_workers=workers)
+            stack.callback(pool.shutdown, cancel_futures=True)
+            jobs = [pool.submit(train_member, spec, samples, i).result for i in range(spec.size)]
         models = []
         for i, job in enumerate(jobs):
             try:

@@ -112,10 +112,8 @@ def _class_weight_block(probs: np.ndarray, class_weights) -> np.ndarray:
 
 def weighted_ce_per_sample(probs: np.ndarray, target: np.ndarray, class_weights) -> np.ndarray:
     """Weighted cross entropy of each map of a batch (n, c, h, w), shape
-    (n,): the map's weighted sum times 1/(h*w). For a batch of one it is
-    ``weighted_ce``'s loss bit for bit; for a larger batch their mean can
-    differ from it in the last bits, since ``weighted_ce`` sums the whole
-    batch at once."""
+    (n,): the map's weighted sum times 1/(h*w), the values whose mean
+    ``weighted_ce`` returns."""
     probs, target = _check_probs_target(probs, target)
     wb = _class_weight_block(probs, class_weights)
     n, _, h, wd = probs.shape
@@ -124,12 +122,13 @@ def weighted_ce_per_sample(probs: np.ndarray, target: np.ndarray, class_weights)
 
 
 def weighted_ce(probs: np.ndarray, target: np.ndarray, class_weights):
-    """Per-pixel cross entropy of a batch with one positive weight per class."""
+    """Per-pixel cross entropy of a batch with one positive weight per class.
+    The loss is the mean of ``weighted_ce_per_sample``. Returns (loss, dL/dprobs)."""
+    loss = float(np.mean(weighted_ce_per_sample(probs, target, class_weights)))
     probs, target = _check_probs_target(probs, target)
     wb = _class_weight_block(probs, class_weights)
     n, _, h, wd = probs.shape
     scale = 1.0 / (n * h * wd)
-    loss = float(-(wb * target * np.log(probs + CE_EPS)).sum() * scale)
     return loss, (-(wb * target) / (probs + CE_EPS) * scale).astype(probs.dtype, copy=False)
 
 

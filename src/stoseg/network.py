@@ -37,8 +37,8 @@ block's time, and a block reads only the model and its own images and
 writes only its own rows, so the bits stay the same. Two threads, not one
 per CPU: the Python between numpy calls still holds the GIL, and each block
 in flight adds its working set to the peak. The worker lives inside the
-call and is joined before the call returns or raises, so no thread is alive
-when ``train_ensemble``'s process pool forks.
+call and is joined before the call returns or raises. ``train_ensemble``'s
+parallel members are threads of the same process too.
 
 Memory: at the default config, numpy's traced peak while one member
 predicts 64 images is about 7.7 MB (2 MB of it the output) instead of 91 MB

@@ -1,8 +1,10 @@
 import json
-import pickle
 import shutil
+import sys
+import threading
+import time
 import tracemalloc
-from concurrent.futures import Future
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -195,60 +197,61 @@ class TestTrainEnsemble:
                                                    parallel, size, pools):
         requested = []
 
-        class InProcessPool:
-            """Records the worker count and runs each job at submit."""
-
-            def __init__(self, max_workers, initializer, initargs):
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
                 requested.append(max_workers)
-                initializer(*initargs)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(ensemble, "ThreadPoolExecutor", RecordingPool)
         train, _ = tiny_data
         ens = ensemble.train_ensemble(tiny_spec(size=size, epochs=1), train, parallel=parallel)
         assert requested == pools
         assert len(ens.members) == size
 
-    def test_pool_jobs_do_not_carry_the_samples(self, tiny_data, monkeypatch):
-        """A pool gets the samples once, through its initializer; the pickled
-        size of a member's job does not grow with the training set."""
-        job_sizes, sent = {}, {}
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                (samples,) = initargs
-                sent[len(samples)] = [s.ident for s in samples]
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                job_sizes.setdefault(len(sent) - 1, []).append(len(pickle.dumps((fn, args))))
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+    def test_threads_give_the_bytes_of_sequential_training(self, tiny_data, tmp_path):
+        """Switching threads every microsecond interleaves the members' numpy
+        calls as finely as the GIL allows; no byte of a member moves."""
         train, _ = tiny_data
-        for count in (1, len(train)):
-            ensemble.train_ensemble(tiny_spec(size=2, epochs=1), train[:count], parallel=2)
-            assert sent[count] == [s.ident for s in train[:count]]
-        assert len(job_sizes[0]) == 2
-        assert job_sizes[0] == job_sizes[1]
+        spec = tiny_spec(size=3, master_seed=11)
+        seq = ensemble.train_ensemble(spec, train)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = ensemble.train_ensemble(spec, train, parallel=3)
+        finally:
+            sys.setswitchinterval(interval)
+        for i, (m1, m2) in enumerate(zip(seq.members, par.members)):
+            network.save_model(tmp_path / "seq.npz", m1)
+            network.save_model(tmp_path / "par.npz", m2)
+            assert (tmp_path / "seq.npz").read_bytes() == (tmp_path / "par.npz").read_bytes(), i
+
+    def test_no_thread_outlives_the_call(self, tiny_data):
+        train, _ = tiny_data
+        before = threading.active_count()
+        ensemble.train_ensemble(tiny_spec(size=3, epochs=1), train, parallel=2)
+        assert threading.active_count() == before
+        bad = [data.Sample(s.ident, s.image[:, :8, :8], s.mask[:8, :8], (8, 8))
+               for s in train]
+        with pytest.raises(RuntimeError, match="member 0"):
+            ensemble.train_ensemble(tiny_spec(size=3, epochs=1), bad, parallel=2)
+        assert threading.active_count() == before
+
+    def test_a_failure_starts_no_queued_member(self, tiny_data, monkeypatch):
+        started = []
+
+        def train_member(spec, samples, index):
+            started.append(index)
+            if index == 0:
+                raise ValueError("bad member")
+            time.sleep(0.2)
+            return None, []
+
+        monkeypatch.setattr(ensemble, "train_member", train_member)
+        train, _ = tiny_data
+        with pytest.raises(RuntimeError, match="member 0 failed: bad member"):
+            ensemble.train_ensemble(tiny_spec(size=8), train, parallel=2)
+        assert 0 in started
+        assert len(started) - 1 < 7, started
 
     def test_failures_carry_member_index(self, tiny_data):
         train, _ = tiny_data
@@ -296,6 +299,13 @@ class TestBuildMember:
         for i in range(3):
             asn = ensemble.build_member(spec, i).assignment
             assert asn == (ActivationKind.RELU,) * spec.network.site_count
+
+    def test_act_member_0_is_relu_member_0(self):
+        seed = ensemble.member_seeds(5, 1)[0]
+        act = ensemble._member_recipe(tiny_spec(mode="act", size=3), 0, seed)
+        relu = ensemble._member_recipe(tiny_spec(mode="relu", size=3), 0, seed)
+        assert act == relu
+        assert act[0] == (ActivationKind.RELU,) * tiny_spec().network.site_count
 
     def test_init_seed_follows_the_member_seed(self):
         spec = tiny_spec(mode="relu", size=3)

@@ -127,9 +127,8 @@ class TestWeightedCE:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_per_sample_losses_are_each_map_alone(self, n):
-        """Each equals weighted_ce of the map on its own, bit for bit, which
-        the batched loss check relies on; their mean is weighted_ce of the
-        batch up to rounding."""
+        """weighted_ce is their mean, and each equals weighted_ce of the map
+        on its own, bit for bit, which the batched loss check relies on."""
         rng = SplitMix64(17 + n)
         probs = 0.05 + 0.9 * rng.uniform_array(n * 128).reshape(n, 2, 8, 8)
         target = np.stack([half_foreground_target()] * n)
@@ -137,8 +136,7 @@ class TestWeightedCE:
         assert per.shape == (n,)
         assert [float(v) for v in per] == [weighted_ce(p[None], t[None], (0.5, 2.0))[0]
                                            for p, t in zip(probs, target)]
-        assert float(np.mean(per)) == pytest.approx(
-            weighted_ce(probs, target, (0.5, 2.0))[0], rel=1e-14)
+        assert float(np.mean(per)) == weighted_ce(probs, target, (0.5, 2.0))[0]
         with pytest.raises(ValueError, match="positive"):
             weighted_ce_per_sample(probs, target, (0.0, 1.0))
 
