@@ -8,6 +8,8 @@ probabilities; the caller chains it through the softmax backward pass.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,6 +23,7 @@ DICE_EPS = 1e-5
 CE_EPS = 1e-12
 
 _TRAIN_TAG = 0x7121
+_SPLIT_BATCH = 4  # minibatches of this many images or more run as two halves
 
 
 class TrainingDiverged(RuntimeError):
@@ -165,6 +168,26 @@ def _batch_arrays(samples, idxs, dtype, aug_seeds=None):
     return np.stack(images), np.stack(targets)
 
 
+def _parts(n: int) -> list[slice]:
+    """The rows of a minibatch of ``n`` images that each run one forward and
+    backward: the whole batch below ``_SPLIT_BATCH``, else its first
+    ceil(n/2) images and the rest."""
+    if n < _SPLIT_BATCH:
+        return [slice(0, n)]
+    h = (n + 1) // 2
+    return [slice(0, h), slice(h, n)]
+
+
+def _run(pool, fn, calls):
+    """``[fn(*args) for args in calls]``. With a pool and two calls the
+    pool's worker runs the second while the caller runs the first; an error
+    of the caller's call is raised before the worker's is read."""
+    if pool is None or len(calls) == 1:
+        return [fn(*args) for args in calls]
+    second = pool.submit(fn, *calls[1])
+    return [fn(*calls[0]), second.result()]
+
+
 def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
     """SGD training, fully determined by (model, data, config).
 
@@ -174,6 +197,22 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
     Returns ``(model, history)`` with one mean sample loss per epoch. Raises
     ``TrainingDiverged`` on a non-finite loss before a step, and on a
     non-finite parameter after the last step.
+
+    A minibatch of ``_SPLIT_BATCH`` (4) images or more runs as two halves,
+    its first ceil(n/2) images and the rest. Each half runs its own forward;
+    the loss, the divergence check and dL/dprobs are those of the whole
+    batch (every op of the forward works per image, so the concatenated
+    halves are the whole batch's probabilities bit for bit). Each half runs
+    ``network.backward`` on its rows of dL/dprobs, and the step's GradMap
+    is the first half's plus the second's, in that order. So only the
+    parameter gradients' sums over the batch differ from one whole-batch
+    backward, in rounding; a smaller batch runs whole. When
+    ``network._use_second_thread`` allows, one worker thread, started for
+    the whole call and joined before it returns or raises, runs each
+    second half while the caller runs the first; otherwise the caller
+    runs both. The halves and their sum are the same either way, so the
+    trained bits do not depend on threads. If both halves fail, the
+    caller's error is raised.
     """
     samples = list(train_set)
     if not samples:
@@ -190,28 +229,35 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
     seed_stream = SplitMix64(derive_seed(config.shuffle_seed, _TRAIN_TAG))
     history: list[float] = []
 
-    for epoch in range(config.epochs):
-        erng = SplitMix64(seed_stream.next_u64())
-        order = list(range(n))
-        erng.shuffle(order)
-        aug_seeds = [erng.next_u64() for _ in range(n)] if config.augment else None
-        total = 0.0
-        for b, start in enumerate(range(0, n, config.batch_size)):
-            idxs = order[start : start + config.batch_size]
-            images, targets = _batch_arrays(samples, idxs, model.dtype, aug_seeds)
-            probs, cache = network.forward(model, images)
-            if config.loss == "dice":
-                loss, dprobs = dice_loss(probs, targets)
-            else:
-                loss, dprobs = weighted_ce(probs, targets, config.class_weights)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss {loss!r} at epoch {epoch}, batch {b}"
-                )
-            grads = network.backward(model, cache, dprobs)
-            sgd_step(params, grads, config.learning_rate, config.momentum, velocity)
-            total += loss * len(idxs)
-        history.append(total / n)
+    # the executor starts its thread at the first split batch
+    with ThreadPoolExecutor(1) if network._use_second_thread() else nullcontext() as pool:
+        for epoch in range(config.epochs):
+            erng = SplitMix64(seed_stream.next_u64())
+            order = list(range(n))
+            erng.shuffle(order)
+            aug_seeds = [erng.next_u64() for _ in range(n)] if config.augment else None
+            total = 0.0
+            for b, start in enumerate(range(0, n, config.batch_size)):
+                idxs = order[start : start + config.batch_size]
+                images, targets = _batch_arrays(samples, idxs, model.dtype, aug_seeds)
+                parts = _parts(len(idxs))
+                outs = _run(pool, network.forward, [(model, images[p]) for p in parts])
+                probs = np.concatenate([out[0] for out in outs])
+                if config.loss == "dice":
+                    loss, dprobs = dice_loss(probs, targets)
+                else:
+                    loss, dprobs = weighted_ce(probs, targets, config.class_weights)
+                if not np.isfinite(loss):
+                    raise TrainingDiverged(
+                        f"non-finite loss {loss!r} at epoch {epoch}, batch {b}"
+                    )
+                grads = _run(pool, network.backward,
+                             [(model, cache, dprobs[p]) for p, (_, cache) in zip(parts, outs)])
+                if len(grads) == 2:
+                    grads[0] = {key: g + grads[1][key] for key, g in grads[0].items()}
+                sgd_step(params, grads[0], config.learning_rate, config.momentum, velocity)
+                total += loss * len(idxs)
+            history.append(total / n)
     for key, p in params.items():
         if not np.all(np.isfinite(p)):
             raise TrainingDiverged(f"non-finite parameter {key!r} after the last step")

@@ -29,16 +29,28 @@ result is bit-identical to one pass over the whole batch; blocking only
 bounds the intermediates, to those of ``_PREDICT_BLOCK`` (4) images in
 flight.
 
-With more than one block's worth of images and at least two usable CPUs,
-the blocks are halves (2 images), and the caller's thread and one worker
-thread take them in turn, so two half-blocks are in flight. numpy releases
-the GIL inside the GEMMs, ufunc loops and copies that take most of a
-block's time, and a block reads only the model and its own images and
-writes only its own rows, so the bits stay the same. Two threads, not one
-per CPU: the Python between numpy calls still holds the GIL, and each block
-in flight adds its working set to the peak. The worker lives inside the
-call and is joined before the call returns or raises. ``train_ensemble``'s
-parallel members are threads of the same process too.
+One function, ``_use_second_thread``, decides every worker thread that
+the package starts on its own (``train_ensemble``'s ``parallel`` member
+threads are the caller's choice): a second thread runs only with at least
+two usable CPUs and numpy's bundled OpenBLAS known to run one thread (as
+with ``OPENBLAS_NUM_THREADS=1``). With BLAS threads unset, OpenBLAS
+already runs one thread per CPU inside each GEMM, and a second Python
+thread driving it oversubscribes the CPUs: ``predict_batch`` of four relu
+members on 64 images took 317-348 ms with a worker against 210-232 ms
+without (2 CPUs, medians of 15 in three processes). A BLAS whose thread
+count cannot be read counts as multi-threaded. ``predict_batch`` and
+``losses.train_model`` (which runs each minibatch of 4 or more images as
+two halves) both read it, and neither's bits depend on its answer.
+
+When the policy allows and there are more than ``_PREDICT_BLOCK`` images,
+``predict_batch``'s blocks are halves (2 images), and the caller's thread
+and one worker thread take them in turn, so two half-blocks are in flight.
+numpy releases the GIL inside the GEMMs, ufunc loops and copies that take
+most of a block's time, and a block reads only the model and its own
+images and writes only its own rows, so the bits stay the same. Two
+threads, not one per CPU: the Python between numpy calls still holds the
+GIL, and each block in flight adds its working set to the peak. The worker
+lives inside the call and is joined before the call returns or raises.
 
 Memory: at the default config, numpy's traced peak while one member
 predicts 64 images is about 7.7 MB (2 MB of it the output) instead of 91 MB
@@ -58,6 +70,7 @@ activation site has an entry, which is (0, C) for a fixed kind.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import io
 import json
@@ -66,6 +79,7 @@ import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -365,6 +379,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _blas_threads() -> int | None:
+    """Threads of the OpenBLAS that numpy's wheel bundles in ``numpy.libs``,
+    or None when there is no such library or it cannot be asked."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            get_threads = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return get_threads()
+    return None
+
+
+def _use_second_thread() -> bool:
+    """Whether ``predict_batch`` and ``losses.train_model`` may run one
+    worker thread beside the caller: two usable CPUs, and a BLAS known to
+    run one thread (see the module docstring)."""
+    return _usable_cpus() > 1 and _blas_threads() == 1
+
+
 def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
     """Probability maps (n, 2, S, S) for (n, 3, S, S) images, cast to the
     model's dtype: ``forward`` over consecutive blocks of images, each
@@ -372,16 +407,16 @@ def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
     ``forward(model, images)[0]``, with the working set of
     ``_PREDICT_BLOCK`` images.
 
-    Up to ``_PREDICT_BLOCK`` images, or with one usable CPU, the caller runs
-    blocks of ``_PREDICT_BLOCK`` one after another. Otherwise the blocks are
-    halves, the caller taking the even ones and one worker thread the odd
-    ones. The worker is joined before this returns or raises; an error of
+    Up to ``_PREDICT_BLOCK`` images, or when ``_use_second_thread`` says
+    no, the caller runs blocks of ``_PREDICT_BLOCK`` one after another.
+    Otherwise the blocks are halves, the caller taking the even ones and one
+    worker thread the odd ones. The worker is joined before this returns or raises; an error of
     either thread's blocks is raised (the caller's if both fail)."""
     images = images.astype(model.dtype, copy=False)
     _check_images(model.config, images)
     n, _, size, _ = images.shape
     probs = np.empty((n, model.config.num_classes, size, size), model.dtype)
-    threaded = n > _PREDICT_BLOCK and _usable_cpus() > 1
+    threaded = n > _PREDICT_BLOCK and _use_second_thread()
     step = _PREDICT_BLOCK // 2 if threaded else _PREDICT_BLOCK
     starts = range(0, n, step)
 

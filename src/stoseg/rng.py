@@ -4,7 +4,8 @@ The generator is SplitMix64. A stream seeded with ``s`` produces output
 ``i`` (1-based) as ``mix64(s + i * GOLDEN)``, which is the classic
 sequential definition written in counter form so that bulk draws can be
 vectorized with uint64 numpy arithmetic while remaining identical to
-one-at-a-time generation. Everything is a pure function of the seed and
+one-at-a-time generation, which uses Python integers (a one-element array
+costs more than the draw). Everything is a pure function of the seed and
 the draw index, independent of platform byte order.
 """
 
@@ -57,14 +58,15 @@ class SplitMix64:
         return z ^ (z >> _U(31))
 
     def next_u64(self) -> int:
-        return int(self.u64_array(1)[0])
+        self._count += 1
+        return mix64(self._seed + self._count * GOLDEN)
 
     def uniform_array(self, n: int) -> np.ndarray:
         """``n`` float64 values in [0, 1) with 53-bit resolution."""
         return (self.u64_array(n) >> _U(11)).astype(np.float64) * 2.0**-53
 
     def uniform(self) -> float:
-        return float(self.uniform_array(1)[0])
+        return (self.next_u64() >> 11) * 2.0**-53
 
     def normal_array(self, shape) -> np.ndarray:
         """Standard normal float64 draws via Box-Muller (cos block then sin block)."""

@@ -339,7 +339,7 @@ class TestEvaluate:
     def test_members_are_fused_as_they_are_predicted(self, monkeypatch):
         """Scoring holds the first member's map and one other, so four more
         members add less than one map to the traced peak."""
-        monkeypatch.setattr(network, "_usable_cpus", lambda: 1)  # like for like peaks
+        monkeypatch.setattr(network, "_use_second_thread", lambda: False)  # like for like peaks
         cfg = tiny_spec().network
         models = [network.build_model(cfg, (ActivationKind.RELU,) * cfg.site_count, seed)
                   for seed in range(6)]

@@ -1,8 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from stoseg import network, suite
-from stoseg.activations import ActivationKind
+from stoseg import losses, network, suite
+from stoseg.activations import ActivationKind, default_pool
 from stoseg.data import synth_blobs
 from stoseg.losses import (
     DICE_EPS,
@@ -15,7 +18,7 @@ from stoseg.losses import (
     weighted_ce,
     weighted_ce_per_sample,
 )
-from stoseg.rng import SplitMix64
+from stoseg.rng import SplitMix64, derive_seed
 
 
 def half_foreground_target(h=8, w=8):
@@ -248,19 +251,18 @@ class TestTrainModel:
 
     def test_nonfinite_last_step_raises_naming_the_parameter(self, monkeypatch):
         samples, model = tiny_setup(7, n=8)
-        backward, calls = network.backward, []
+        step, steps = losses.sgd_step, []
 
-        def last_step_inf(model, cache, dprobs):
-            grads = backward(model, cache, dprobs)
-            calls.append(1)
-            if len(calls) == 4:  # 2 epochs of 2 batches: the last step
-                grads["head.b"] = np.full_like(grads["head.b"], np.inf)
-            return grads
+        def last_step_inf(params, grads, *args):
+            steps.append(1)
+            if len(steps) == 4:  # 2 epochs of 2 batches: the last step
+                grads = {**grads, "head.b": np.full_like(grads["head.b"], np.inf)}
+            return step(params, grads, *args)
 
-        monkeypatch.setattr(network, "backward", last_step_inf)
+        monkeypatch.setattr(losses, "sgd_step", last_step_inf)
         with pytest.raises(TrainingDiverged, match="'head.b'"):
             train_model(model, samples, TrainConfig(epochs=2, batch_size=4))
-        assert len(calls) == 4
+        assert len(steps) == 4
 
     def test_weighted_ce_training_runs(self):
         samples, model = tiny_setup(6)
@@ -270,3 +272,120 @@ class TestTrainModel:
                         class_weights=(1.0, 2.0)),
         )
         assert len(hist) == 2
+
+
+def sto_setup(seed, n):
+    """Samples and a tiny model whose sites draw from the whole pool, so the
+    GradMap holds activation parameters too."""
+    samples, model = tiny_setup(seed, n)
+    asn = network.assign_activations(default_pool(), model.config.site_count, seed)
+    return samples, network.build_model(model.config, asn, seed + 1)
+
+
+def first_epoch_order(n, shuffle_seed):
+    """The sample order of train_model's first epoch."""
+    erng = SplitMix64(SplitMix64(derive_seed(shuffle_seed, losses._TRAIN_TAG)).next_u64())
+    order = list(range(n))
+    erng.shuffle(order)
+    return order
+
+
+def parameter_bytes(model):
+    return {k: v.tobytes() for k, v in model.parameters().items()}
+
+
+class TestSplitStep:
+    """A minibatch of 4 or more images runs as two halves, the second in a
+    worker thread when the policy allows; the bits do not depend on it."""
+
+    def test_threaded_and_caller_only_halves_give_the_same_bytes(self, monkeypatch):
+        forward, threads = network.forward, set()
+
+        def recording_forward(model, images, **kwargs):
+            threads.add(threading.get_ident())
+            return forward(model, images, **kwargs)
+
+        monkeypatch.setattr(network, "forward", recording_forward)
+        cfg = TrainConfig(epochs=2, batch_size=5, shuffle_seed=4)  # halves of 3 and 2, then 2 whole
+        results = {}
+        for allowed in (True, False):
+            monkeypatch.setattr(network, "_use_second_thread", lambda: allowed)
+            samples, model = sto_setup(8, 12)
+            threads.clear()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # the threads hand the GIL over at nearly every bytecode
+            try:
+                _, history = train_model(model, samples, cfg)
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(threads) == (2 if allowed else 1)
+            results[allowed] = parameter_bytes(model), history
+        assert results[True] == results[False]
+
+    @pytest.mark.parametrize("allowed", [True, False])
+    def test_batch_of_three_is_one_whole_batch_step(self, monkeypatch, allowed):
+        monkeypatch.setattr(network, "_use_second_thread", lambda: allowed)
+        samples, model = sto_setup(9, 3)
+        cfg = TrainConfig(epochs=1, batch_size=3, augment=False, shuffle_seed=2)
+        _, want = sto_setup(9, 3)
+        images, targets = losses._batch_arrays(samples, first_epoch_order(3, 2), want.dtype)
+        probs, cache = network.forward(want, images)
+        loss, dprobs = dice_loss(probs, targets)
+        sgd_step(want.parameters(), network.backward(want, cache, dprobs),
+                 cfg.learning_rate, cfg.momentum, {})
+        _, history = train_model(model, samples, cfg)
+        assert history == [loss * 3 / 3]
+        assert parameter_bytes(model) == parameter_bytes(want)
+
+    def test_batch_of_eight_keeps_the_loss_and_sums_the_halves(self, monkeypatch):
+        samples, model = sto_setup(10, 8)
+        cfg = TrainConfig(epochs=1, batch_size=8, augment=False, shuffle_seed=5)
+        images, targets = losses._batch_arrays(samples, first_epoch_order(8, 5), model.dtype)
+        probs, cache = network.forward(model, images)
+        loss, dprobs = dice_loss(probs, targets)
+        whole = network.backward(model, cache, dprobs)
+        forward, backward, rows, steps = network.forward, network.backward, [], []
+
+        def recording_forward(model, images, **kwargs):
+            rows.append(len(images))
+            return forward(model, images, **kwargs)
+
+        def recording_backward(model, cache, dprobs):
+            rows.append(len(dprobs))
+            return backward(model, cache, dprobs)
+
+        monkeypatch.setattr(network, "forward", recording_forward)
+        monkeypatch.setattr(network, "backward", recording_backward)
+        monkeypatch.setattr(losses, "sgd_step", lambda params, grads, *args: steps.append(grads))
+        _, history = train_model(model, samples, cfg)
+        assert sorted(rows) == [4, 4, 4, 4]
+        assert history == [loss * 8 / 8]
+        (grads,) = steps
+        assert grads.keys() == whole.keys()
+        for key, g in grads.items():
+            assert g.dtype == whole[key].dtype and g.shape == whole[key].shape
+            scale = np.abs(whole[key]).max(initial=0.0)
+            assert np.abs(g - whole[key]).max(initial=0.0) <= 1e-6 * scale, key
+
+    @pytest.mark.parametrize("fn", ["forward", "backward"])
+    @pytest.mark.parametrize("fails", [("worker",), ("caller",), ("caller", "worker")])
+    def test_a_failing_half_raises_and_leaves_no_thread(self, monkeypatch, fn, fails):
+        monkeypatch.setattr(network, "_use_second_thread", lambda: True)
+        samples, model = tiny_setup(11, n=8)
+        cfg = TrainConfig(epochs=1, batch_size=8)
+        caller, original = threading.get_ident(), getattr(network, fn)
+
+        def failing(*args, **kwargs):
+            who = "caller" if threading.get_ident() == caller else "worker"
+            if who in fails:
+                raise RuntimeError(f"{fn} of the {who}'s half")
+            return original(*args, **kwargs)
+
+        threads = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(network, fn, failing)
+            with pytest.raises(RuntimeError, match=f"{fn} of the {fails[0]}'s half"):
+                train_model(model, samples, cfg)
+        assert threading.active_count() == threads
+        train_model(model, samples, cfg)
+        assert threading.active_count() == threads

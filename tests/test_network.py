@@ -1,7 +1,9 @@
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -211,7 +213,7 @@ class TestPredictBlocks:
 
     def test_short_switch_interval_keeps_the_bits(self, monkeypatch):
         # the two threads hand the GIL over at nearly every bytecode
-        monkeypatch.setattr(network, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(network, "_use_second_thread", lambda: True)
         m = noised_model(small_config(), 3, np.float32)
         img = small_images(41)
         interval = sys.getswitchinterval()
@@ -230,7 +232,7 @@ class TestPredictBlocks:
         def no_threads(*args, **kwargs):
             raise AssertionError("a thread pool was created")
 
-        monkeypatch.setattr(network, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(network, "_use_second_thread", lambda: False)
         monkeypatch.setattr(network, "ThreadPoolExecutor", no_threads)
         assert network.predict_batch(m, img).tobytes() == want.tobytes()
 
@@ -245,7 +247,7 @@ class TestPredictBlocks:
                 raise RuntimeError(f"block at image {start}")
             return forward(model, images, **kwargs)
 
-        monkeypatch.setattr(network, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(network, "_use_second_thread", lambda: True)
         threads = threading.active_count()
         with monkeypatch.context() as patch:
             patch.setattr(network, "forward", failing_forward)
@@ -280,6 +282,36 @@ class TestPredictBlocks:
         for fn in (network.forward, network.predict_batch):
             with pytest.raises(ValueError, match=r"\(0, 3, 16, 16\)"):
                 fn(m, empty)
+
+
+class TestWorkerPolicy:
+    """One function decides every worker thread: two usable CPUs, and
+    numpy's BLAS known to run one thread."""
+
+    @pytest.mark.parametrize("cpus, blas, allowed", [
+        (1, 1, False), (2, 2, False), (2, None, False), (2, 1, True), (4, 1, True)])
+    def test_cpus_and_blas_threads(self, monkeypatch, cpus, blas, allowed):
+        monkeypatch.setattr(network, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(network, "_blas_threads", lambda: blas)
+        assert network._use_second_thread() is allowed
+
+    def test_blas_threads_follow_the_environment(self):
+        if network._blas_threads() is None:
+            pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
+        code = "from stoseg import network; print(network._blas_threads())"
+        src = str(Path(network.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "1\n"
+
+    def test_unknown_blas_counts_as_threaded(self, monkeypatch, tmp_path):
+        fake = tmp_path / "numpy" / "__init__.py"
+        monkeypatch.setattr(network.np, "__file__", str(fake))
+        assert network._blas_threads() is None
+        (tmp_path / "numpy.libs").mkdir()
+        (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
+        assert network._blas_threads() is None
 
 
 class TestVariants:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from stoseg.rng import GOLDEN, MASK64, SplitMix64, derive_seed, mix64
 
@@ -57,6 +58,21 @@ class TestSplitMix64:
         assert a == b
         assert sorted(a) == items
         assert a != items  # astronomically unlikely to be identity
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 12345678901234567])
+    def test_scalar_draws_equal_array_draws(self, seed):
+        n = 64
+        raw = SplitMix64(seed).u64_array(n)
+        rng = SplitMix64(seed)
+        draws = [rng.next_u64() for _ in range(n)]
+        assert all(type(d) is int for d in draws) and draws == raw.tolist()
+        rng = SplitMix64(seed)
+        uniforms = [rng.uniform() for _ in range(n)]
+        assert all(type(u) is float for u in uniforms)
+        assert np.array(uniforms).tobytes() == SplitMix64(seed).uniform_array(n).tobytes()
+        for bound in (1, 7, 2**40 + 3):
+            rng = SplitMix64(seed)
+            assert [rng.below(bound) for _ in range(n)] == (raw % np.uint64(bound)).tolist()
 
     def test_below_bounds(self):
         rng = SplitMix64(9)
