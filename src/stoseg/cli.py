@@ -250,13 +250,12 @@ def cmd_eval(cfg, checkpoint: str) -> int:
     return 0
 
 
-def cmd_ensemble(cfg, parallel: int) -> int:
-    ens_mod.check_parallel(parallel)
+def cmd_ensemble(cfg) -> int:
     seed = _as_int(cfg, "seed")
     spec = ensemble_spec(cfg, seed)
     train_ds, test_ds = load_split(cfg, seed)
     out = _prepare_out(cfg)
-    ens = ens_mod.train_ensemble(spec, _resized(train_ds, spec.network.input_size), parallel)
+    ens = ens_mod.train_ensemble(spec, _resized(train_ds, spec.network.input_size))
     report = ens_mod.ensemble_evaluate(ens, list(test_ds))
     row_name = f"{cfg['name']}_{spec.mode}"
     write_results_csv(out / "results.csv", [(row_name, report)])
@@ -284,8 +283,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--out", help="override the output directory")
-    parser.add_argument("--parallel", type=int, default=1,
-                        help="worker threads for ensemble member training")
     parser.add_argument("--checkpoint", help="model checkpoint (eval)")
     args = parser.parse_args(argv)
 
@@ -304,7 +301,7 @@ def main(argv=None) -> int:
                 raise ConfigError("eval requires --checkpoint")
             return cmd_eval(cfg, args.checkpoint)
         if args.subcommand == "ensemble":
-            return cmd_ensemble(cfg, args.parallel)
+            return cmd_ensemble(cfg)
         return cmd_gradcheck()
     except (ConfigError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

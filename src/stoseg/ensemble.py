@@ -1,6 +1,10 @@
 """Train N independent members and fuse their outputs by the sum rule
 (the per-pixel mean of the members' softmax maps).
 
+Members train one after another; each member's training steps, like each
+member's prediction, use a second CPU only as ``network``'s one thread
+policy allows.
+
 Member i's recipe derives from the spec alone: its seed is
 ``member_seeds(master_seed, size)[i]``, its mode picks the kinds
 (``_MODE_KINDS``) that ``assign_activations`` draws each site from with that
@@ -15,10 +19,7 @@ and ``load_ensemble`` checks each member file.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -122,42 +123,30 @@ def train_member(spec: EnsembleSpec, samples: Sequence[Sample], index: int):
     return train_model(build_member(spec, index), samples, spec.train)
 
 
-def check_parallel(parallel: int) -> None:
-    """Reject a worker count below 1 for ``train_ensemble``."""
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
-
-
 def train_ensemble(
     spec: EnsembleSpec, train_set: Sequence[Sample], parallel: int = 1
 ) -> Ensemble:
-    """Train all members independently on the same data.
+    """Train all members independently on the same data, one after another
+    in the caller's thread; a failure starts no later member.
 
     Each member's activation assignment and weight init derive only from
-    its own seed, so results are identical whether members train one after
-    another in the caller's thread or in ``min(parallel, spec.size)``
-    worker threads, which share ``train_set``. A failure or an interrupt
-    starts no member still queued; the call returns once the members in
-    training are done.
+    its own seed. Each member's training steps use a second CPU when
+    ``network``'s thread policy allows (``losses.train_model``), so there
+    are no member threads. ``parallel`` is kept only for callers that
+    still pass ``parallel=1`` (perfbench's workloads); any other value
+    raises a ``ValueError`` naming it.
     """
-    check_parallel(parallel)
+    if parallel != 1:
+        raise ValueError(f"parallel must be 1, got {parallel}")
     samples = list(train_set)
     if not samples:
         raise ValueError("training set is empty")
-    workers = min(parallel, spec.size)
-    with ExitStack() as stack:
-        if workers == 1:
-            jobs = [partial(train_member, spec, samples, i) for i in range(spec.size)]
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            stack.callback(pool.shutdown, cancel_futures=True)
-            jobs = [pool.submit(train_member, spec, samples, i).result for i in range(spec.size)]
-        models = []
-        for i, job in enumerate(jobs):
-            try:
-                models.append(job()[0])
-            except Exception as exc:
-                raise RuntimeError(f"training member {i} failed: {exc}") from exc
+    models = []
+    for i in range(spec.size):
+        try:
+            models.append(train_member(spec, samples, i)[0])
+        except Exception as exc:
+            raise RuntimeError(f"training member {i} failed: {exc}") from exc
     return Ensemble(members=models, spec=spec)
 
 

@@ -8,8 +8,6 @@ probabilities; the caller chains it through the softmax backward pass.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -178,16 +176,6 @@ def _parts(n: int) -> list[slice]:
     return [slice(0, h), slice(h, n)]
 
 
-def _run(pool, fn, calls):
-    """``[fn(*args) for args in calls]``. With a pool and two calls the
-    pool's worker runs the second while the caller runs the first; an error
-    of the caller's call is raised before the worker's is read."""
-    if pool is None or len(calls) == 1:
-        return [fn(*args) for args in calls]
-    second = pool.submit(fn, *calls[1])
-    return [fn(*calls[0]), second.result()]
-
-
 def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
     """SGD training, fully determined by (model, data, config).
 
@@ -206,13 +194,11 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
     ``network.backward`` on its rows of dL/dprobs, and the step's GradMap
     is the first half's plus the second's, in that order. So only the
     parameter gradients' sums over the batch differ from one whole-batch
-    backward, in rounding; a smaller batch runs whole. When
-    ``network._use_second_thread`` allows, one worker thread, started for
-    the whole call and joined before it returns or raises, runs each
-    second half while the caller runs the first; otherwise the caller
-    runs both. The halves and their sum are the same either way, so the
-    trained bits do not depend on threads. If both halves fail, the
-    caller's error is raised.
+    backward, in rounding; a smaller batch runs whole. The halves and their
+    sum are the same whether a worker thread runs each second half or the
+    caller runs both, so the trained bits do not depend on threads; the
+    worker is opened and joined by ``network._worker`` (see ``network``'s
+    module docstring).
     """
     samples = list(train_set)
     if not samples:
@@ -229,8 +215,7 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
     seed_stream = SplitMix64(derive_seed(config.shuffle_seed, _TRAIN_TAG))
     history: list[float] = []
 
-    # the executor starts its thread at the first split batch
-    with ThreadPoolExecutor(1) if network._use_second_thread() else nullcontext() as pool:
+    with network._worker() as pool:
         for epoch in range(config.epochs):
             erng = SplitMix64(seed_stream.next_u64())
             order = list(range(n))
@@ -241,7 +226,7 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
                 idxs = order[start : start + config.batch_size]
                 images, targets = _batch_arrays(samples, idxs, model.dtype, aug_seeds)
                 parts = _parts(len(idxs))
-                outs = _run(pool, network.forward, [(model, images[p]) for p in parts])
+                outs = network._run(pool, network.forward, [(model, images[p]) for p in parts])
                 probs = np.concatenate([out[0] for out in outs])
                 if config.loss == "dice":
                     loss, dprobs = dice_loss(probs, targets)
@@ -251,8 +236,8 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
                     raise TrainingDiverged(
                         f"non-finite loss {loss!r} at epoch {epoch}, batch {b}"
                     )
-                grads = _run(pool, network.backward,
-                             [(model, cache, dprobs[p]) for p, (_, cache) in zip(parts, outs)])
+                calls = [(model, cache, dprobs[p]) for p, (_, cache) in zip(parts, outs)]
+                grads = network._run(pool, network.backward, calls)
                 if len(grads) == 2:
                     grads[0] = {key: g + grads[1][key] for key, g in grads[0].items()}
                 sgd_step(params, grads[0], config.learning_rate, config.momentum, velocity)

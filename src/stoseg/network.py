@@ -29,18 +29,19 @@ result is bit-identical to one pass over the whole batch; blocking only
 bounds the intermediates, to those of ``_PREDICT_BLOCK`` (4) images in
 flight.
 
-One function, ``_use_second_thread``, decides every worker thread that
-the package starts on its own (``train_ensemble``'s ``parallel`` member
-threads are the caller's choice): a second thread runs only with at least
-two usable CPUs and numpy's bundled OpenBLAS known to run one thread (as
-with ``OPENBLAS_NUM_THREADS=1``). With BLAS threads unset, OpenBLAS
-already runs one thread per CPU inside each GEMM, and a second Python
-thread driving it oversubscribes the CPUs: ``predict_batch`` of four relu
-members on 64 images took 317-348 ms with a worker against 210-232 ms
-without (2 CPUs, medians of 15 in three processes). A BLAS whose thread
-count cannot be read counts as multi-threaded. ``predict_batch`` and
+One function, ``_use_second_thread``, decides every worker thread of the
+package: a second thread runs only with at least two usable CPUs and
+numpy's bundled OpenBLAS known to run one thread (as with
+``OPENBLAS_NUM_THREADS=1``). With BLAS threads unset, OpenBLAS already
+runs one thread per CPU inside each GEMM, and a second Python thread
+driving it oversubscribes the CPUs: ``predict_batch`` of four relu members
+on 64 images took 317-348 ms with a worker against 210-232 ms without (2
+CPUs, medians of 15 in three processes). A BLAS whose thread count cannot
+be read counts as multi-threaded. ``_worker`` is the one place that opens
+a worker, a ``ThreadPoolExecutor(1)`` when the policy allows, and ``_run``
+the one place that hands it work. ``predict_batch`` and
 ``losses.train_model`` (which runs each minibatch of 4 or more images as
-two halves) both read it, and neither's bits depend on its answer.
+two halves) both use them, and neither's bits depend on the answer.
 
 When the policy allows and there are more than ``_PREDICT_BLOCK`` images,
 ``predict_batch``'s blocks are halves (2 images), and the caller's thread
@@ -77,6 +78,7 @@ import json
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -394,10 +396,28 @@ def _blas_threads() -> int | None:
 
 
 def _use_second_thread() -> bool:
-    """Whether ``predict_batch`` and ``losses.train_model`` may run one
-    worker thread beside the caller: two usable CPUs, and a BLAS known to
-    run one thread (see the module docstring)."""
+    """Whether the package may run one worker thread beside the caller: two
+    usable CPUs, and a BLAS known to run one thread (see the module
+    docstring)."""
     return _usable_cpus() > 1 and _blas_threads() == 1
+
+
+def _worker(wanted: bool = True):
+    """A context giving the one worker thread beside the caller: a
+    ``ThreadPoolExecutor(1)`` when ``wanted`` and ``_use_second_thread()``
+    allows, else None. The executor starts its thread at the first submit
+    and joins it on exit, also when the body raises."""
+    return ThreadPoolExecutor(1) if wanted and _use_second_thread() else nullcontext()
+
+
+def _run(pool, fn, calls):
+    """``[fn(*args) for args in calls]``. With a pool and two calls the
+    pool's worker runs the second while the caller runs the first; an error
+    of the caller's call is raised before the worker's is read."""
+    if pool is None or len(calls) == 1:
+        return [fn(*args) for args in calls]
+    second = pool.submit(fn, *calls[1])
+    return [fn(*calls[0]), second.result()]
 
 
 def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
@@ -416,21 +436,16 @@ def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
     _check_images(model.config, images)
     n, _, size, _ = images.shape
     probs = np.empty((n, model.config.num_classes, size, size), model.dtype)
-    threaded = n > _PREDICT_BLOCK and _use_second_thread()
-    step = _PREDICT_BLOCK // 2 if threaded else _PREDICT_BLOCK
-    starts = range(0, n, step)
 
-    def run(block_starts):
-        for i in block_starts:
-            probs[i : i + step] = forward(model, images[i : i + step])[0]
+    with _worker(n > _PREDICT_BLOCK) as pool:
+        step = _PREDICT_BLOCK if pool is None else _PREDICT_BLOCK // 2
+        starts = range(0, n, step)
 
-    if threaded:
-        with ThreadPoolExecutor(1) as pool:
-            odd = pool.submit(run, starts[1::2])
-            run(starts[::2])
-            odd.result()
-    else:
-        run(starts)
+        def run(block_starts):
+            for i in block_starts:
+                probs[i : i + step] = forward(model, images[i : i + step])[0]
+
+        _run(pool, run, [(starts,)] if pool is None else [(starts[::2],), (starts[1::2],)])
     return probs
 
 

@@ -263,12 +263,14 @@ class TestMainErrors:
         assert err.startswith("error: ") and str(missing) in err
         assert not out.exists()
 
-    def test_parallel_below_one_exits_1(self, tmp_path, capsys):
+    def test_parallel_option_is_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "data.synth_size=16", "split.train=2",
                             "split.test=2", "net.input_size=16", "ensemble.size=2")
-        args = ["ensemble", "--config", path, "--out", str(tmp_path / "out"), "--parallel", "0"]
-        assert cli.main(args) == 1
-        assert capsys.readouterr().err == "error: parallel must be >= 1, got 0\n"
+        args = ["ensemble", "--config", path, "--out", str(tmp_path / "out"), "--parallel", "2"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(args)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", ["data.source=dir", "data.synth_count=12"])

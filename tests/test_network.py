@@ -175,7 +175,8 @@ def small_images(n, dtype=np.float32):
 
 class TestPredictBlocks:
     """predict_batch runs forward over blocks of _PREDICT_BLOCK images, or
-    over half-blocks in two threads when there are more images and two CPUs."""
+    over half-blocks in two threads when there are more images and
+    network._use_second_thread allows (two usable CPUs and one BLAS thread)."""
 
     @staticmethod
     def pool_models(dtype):
