@@ -58,8 +58,8 @@ def _ellipse_r2(size: int, rng: SplitMix64):
     ax = (0.10 + 0.18 * rng.uniform()) * size
     ay = (0.10 + 0.18 * rng.uniform()) * size
     theta = rng.uniform() * np.pi
-    ys, xs = np.mgrid[0:size, 0:size].astype(np.float64)
-    dx, dy = xs - cx, ys - cy
+    pixels = np.arange(size, dtype=np.float64)
+    dx, dy = pixels - cx, (pixels - cy)[:, None]  # a row and a column, broadcast
     u = (dx * np.cos(theta) + dy * np.sin(theta)) / ax
     v = (-dx * np.sin(theta) + dy * np.cos(theta)) / ay
     return u * u + v * v
@@ -79,12 +79,12 @@ def _render_sample(ident: str, size: int, rng: SplitMix64) -> Sample:
     else:
         raise RuntimeError(f"could not hit foreground fraction window for {ident}")
 
-    base = np.array([0.15 + 0.3 * rng.uniform() for _ in range(3)])
-    ramp_amp = np.array([(rng.uniform() - 0.5) * 0.2 for _ in range(3)])
-    blob_color = np.array([0.3 + 0.35 * rng.uniform() for _ in range(3)])
+    base = 0.15 + 0.3 * rng.uniform_array(3)
+    ramp_amp = (rng.uniform_array(3) - 0.5) * 0.2
+    blob_color = 0.3 + 0.35 * rng.uniform_array(3)
     noise = (rng.uniform_array(3 * size * size).reshape(3, size, size) - 0.5) * 0.12
 
-    ys = np.linspace(0.0, 1.0, size)[:, None] * np.ones((1, size))
+    ys = np.linspace(0.0, 1.0, size)[:, None]
     profile = np.zeros((size, size))
     for r2 in fields:
         r = np.sqrt(r2)

@@ -196,9 +196,11 @@ def train_model(model, train_set: Sequence[Sample], config: TrainConfig):
     parameter gradients' sums over the batch differ from one whole-batch
     backward, in rounding; a smaller batch runs whole. The halves and their
     sum are the same whether a worker thread runs each second half or the
-    caller runs both, so the trained bits do not depend on threads; the
-    worker is opened and joined by ``network._worker`` (see ``network``'s
-    module docstring).
+    caller runs both, so the trained bits do not depend on threads. The
+    second halves run in a worker thread when ``network._worker`` gives one:
+    with two usable CPUs and numpy's bundled OpenBLAS settable, which then
+    runs at one thread, process-wide, until training returns or raises (see
+    ``network``'s module docstring).
     """
     samples = list(train_set)
     if not samples:

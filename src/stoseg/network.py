@@ -29,26 +29,28 @@ result is bit-identical to one pass over the whole batch; blocking only
 bounds the intermediates, to those of ``_PREDICT_BLOCK`` (4) images in
 flight.
 
-One function, ``_use_second_thread``, decides every worker thread of the
-package: a second thread runs only with at least two usable CPUs and
-numpy's bundled OpenBLAS known to run one thread (as with
-``OPENBLAS_NUM_THREADS=1``). With BLAS threads unset, OpenBLAS already
-runs one thread per CPU inside each GEMM, and a second Python thread
-driving it oversubscribes the CPUs: ``predict_batch`` of four relu members
-on 64 images took 317-348 ms with a worker against 210-232 ms without (2
-CPUs, medians of 15 in three processes). A BLAS whose thread count cannot
-be read counts as multi-threaded. ``_worker`` is the one place that opens
-a worker, a ``ThreadPoolExecutor(1)`` when the policy allows, and ``_run``
-the one place that hands it work. ``predict_batch`` and
-``losses.train_model`` (which runs each minibatch of 4 or more images as
-two halves) both use them, and neither's bits depend on the answer.
+One function, ``_worker``, decides every worker thread of the package:
+with at least two usable CPUs and numpy's bundled OpenBLAS settable, it
+opens one worker (a ``ThreadPoolExecutor(1)``) and runs that OpenBLAS at
+one thread while the worker lives; otherwise it opens none and leaves BLAS
+alone. So the plan does not depend on ``OPENBLAS_NUM_THREADS``. On 2 CPUs
+with BLAS threads unset, this trained the benchmark's ``train_sto`` spec in
+1.32-1.54 s instead of 1.96-3.02 s without a worker, and ran
+``predict_batch`` of four relu members on 64 images in 130-185 ms instead
+of 189-217 ms (nothing beyond 2 CPUs was measured). The BLAS count is
+process-wide: another thread's GEMMs run on one BLAS thread meanwhile, and
+two threads inside ``_worker`` at once (stoseg never does that) may leave it
+changed. ``_run`` is the one place that hands the worker work;
+``predict_batch`` and ``losses.train_model`` (which runs each minibatch of
+4 or more images as two halves) both use them, and neither's bits depend on
+the plan.
 
-When the policy allows and there are more than ``_PREDICT_BLOCK`` images,
-``predict_batch``'s blocks are halves (2 images), and the caller's thread
-and one worker thread take them in turn, so two half-blocks are in flight.
-numpy releases the GIL inside the GEMMs, ufunc loops and copies that take
-most of a block's time, and a block reads only the model and its own
-images and writes only its own rows, so the bits stay the same. Two
+When ``_worker`` gives a worker and there are more than ``_PREDICT_BLOCK``
+images, ``predict_batch``'s blocks are halves (2 images), and the caller's
+thread and one worker thread take them in turn, so two half-blocks are in
+flight. numpy releases the GIL inside the GEMMs, ufunc loops and copies
+that take most of a block's time, and a block reads only the model and its
+own images and writes only its own rows, so the bits stay the same. Two
 threads, not one per CPU: the Python between numpy calls still holds the
 GIL, and each block in flight adds its working set to the peak. The worker
 lives inside the call and is joined before the call returns or raises.
@@ -78,7 +80,7 @@ import json
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -381,33 +383,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _blas_threads() -> int | None:
-    """Threads of the OpenBLAS that numpy's wheel bundles in ``numpy.libs``,
-    or None when there is no such library or it cannot be asked."""
+def _bundled_openblas():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy's
+    wheel bundles in ``numpy.libs``, or None when there is no such library
+    or it lacks them."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*")):
         try:
-            get_threads = ctypes.CDLL(str(path)).scipy_openblas_get_num_threads64_
+            lib = ctypes.CDLL(str(path))
+            get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
         except (OSError, AttributeError):
             continue
-        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-        return get_threads()
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
     return None
 
 
-def _use_second_thread() -> bool:
-    """Whether the package may run one worker thread beside the caller: two
-    usable CPUs, and a BLAS known to run one thread (see the module
-    docstring)."""
-    return _usable_cpus() > 1 and _blas_threads() == 1
-
-
+@contextmanager
 def _worker(wanted: bool = True):
-    """A context giving the one worker thread beside the caller: a
-    ``ThreadPoolExecutor(1)`` when ``wanted`` and ``_use_second_thread()``
-    allows, else None. The executor starts its thread at the first submit
-    and joins it on exit, also when the body raises."""
-    return ThreadPoolExecutor(1) if wanted and _use_second_thread() else nullcontext()
+    """A context giving the one worker thread beside the caller, or None:
+    a ``ThreadPoolExecutor(1)``, with numpy's bundled OpenBLAS at one thread,
+    when ``wanted``, two CPUs are usable and ``_bundled_openblas()`` finds
+    the library (see the module docstring). The executor starts its thread
+    at the first submit; on exit, also when the body raises, the thread is
+    joined, then the previous BLAS count is restored."""
+    blas = _bundled_openblas() if wanted and _usable_cpus() > 1 else None
+    if blas is None:
+        yield None
+        return
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            yield pool
+    finally:
+        set_threads(before)
 
 
 def _run(pool, fn, calls):
@@ -427,11 +439,14 @@ def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
     ``forward(model, images)[0]``, with the working set of
     ``_PREDICT_BLOCK`` images.
 
-    Up to ``_PREDICT_BLOCK`` images, or when ``_use_second_thread`` says
-    no, the caller runs blocks of ``_PREDICT_BLOCK`` one after another.
-    Otherwise the blocks are halves, the caller taking the even ones and one
-    worker thread the odd ones. The worker is joined before this returns or raises; an error of
-    either thread's blocks is raised (the caller's if both fail)."""
+    Up to ``_PREDICT_BLOCK`` images, or when ``_worker`` gives no worker
+    (one usable CPU, or no bundled OpenBLAS), the caller runs blocks of
+    ``_PREDICT_BLOCK`` one after another. Otherwise the blocks are halves,
+    the caller taking the even ones and one worker thread the odd ones, with
+    numpy's OpenBLAS at one thread during the call, for every thread of the
+    process. The worker is joined and the BLAS count restored before this
+    returns or raises; an error of either thread's blocks is raised (the
+    caller's if both fail)."""
     images = images.astype(model.dtype, copy=False)
     _check_images(model.config, images)
     n, _, size, _ = images.shape

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,21 @@ class TestSynthBlobs:
     def test_unique_identifiers(self):
         ds = data.synth_blobs(20, 32, 5)
         assert len({s.ident for s in ds}) == 20
+
+    @pytest.mark.parametrize("n, size, seed, images, masks", [
+        (6, 16, 3, "1b444d7756aa7f2692941207354e29e928b38efb176657eaa39785286043000f",
+         "06596b0dae144420a11ef03e23b9886ead8eda33ec1774cdebe936dbba718f43"),
+        (3, 64, 0, "ea56b4f91be4bf83ba6dbe33f9c9363eea8bd232bd5bb9712a4f5db1568f797c",
+         "29ba9eb40a10c00750a2a633a8ab6d7b15ce9df949d0ba775848cb164b377c16"),
+        (2, 96, 1, "260004070c009899fe0c0dd17394244da6a4ae71ea55d6fc458d96909f89b854",
+         "075790fdd8d7fba09e2a59ef9d0d653838fcc2427904d903ea154b2d966c6339"),
+    ])
+    def test_bytes_are_pinned(self, n, size, seed, images, masks):
+        """The SHA-256 of the stacked images and masks, recorded once: every
+        training run and benchmark input starts from these bytes."""
+        ds = data.synth_blobs(n, size, seed)
+        assert hashlib.sha256(np.stack([s.image for s in ds]).tobytes()).hexdigest() == images
+        assert hashlib.sha256(np.stack([s.mask for s in ds]).tobytes()).hexdigest() == masks
 
 
 class TestPnmCodec:

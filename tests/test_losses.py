@@ -296,7 +296,7 @@ def parameter_bytes(model):
 
 class TestSplitStep:
     """A minibatch of 4 or more images runs as two halves, the second in a
-    worker thread when the policy allows; the bits do not depend on it."""
+    worker thread when network._worker gives one; the bits do not depend on it."""
 
     def test_threaded_and_caller_only_halves_give_the_same_bytes(self, monkeypatch):
         forward, threads = network.forward, set()
@@ -309,7 +309,7 @@ class TestSplitStep:
         cfg = TrainConfig(epochs=2, batch_size=5, shuffle_seed=4)  # halves of 3 and 2, then 2 whole
         results = {}
         for allowed in (True, False):
-            monkeypatch.setattr(network, "_use_second_thread", lambda: allowed)
+            monkeypatch.setattr(network, "_usable_cpus", lambda: 2 if allowed else 1)
             samples, model = sto_setup(8, 12)
             threads.clear()
             interval = sys.getswitchinterval()
@@ -324,7 +324,7 @@ class TestSplitStep:
 
     @pytest.mark.parametrize("allowed", [True, False])
     def test_batch_of_three_is_one_whole_batch_step(self, monkeypatch, allowed):
-        monkeypatch.setattr(network, "_use_second_thread", lambda: allowed)
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 2 if allowed else 1)
         samples, model = sto_setup(9, 3)
         cfg = TrainConfig(epochs=1, batch_size=3, augment=False, shuffle_seed=2)
         _, want = sto_setup(9, 3)
@@ -370,7 +370,7 @@ class TestSplitStep:
     @pytest.mark.parametrize("fn", ["forward", "backward"])
     @pytest.mark.parametrize("fails", [("worker",), ("caller",), ("caller", "worker")])
     def test_a_failing_half_raises_and_leaves_no_thread(self, monkeypatch, fn, fails):
-        monkeypatch.setattr(network, "_use_second_thread", lambda: True)
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 2)
         samples, model = tiny_setup(11, n=8)
         cfg = TrainConfig(epochs=1, batch_size=8)
         caller, original = threading.get_ident(), getattr(network, fn)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from pathlib import Path
@@ -176,7 +177,7 @@ def small_images(n, dtype=np.float32):
 class TestPredictBlocks:
     """predict_batch runs forward over blocks of _PREDICT_BLOCK images, or
     over half-blocks in two threads when there are more images and
-    network._use_second_thread allows (two usable CPUs and one BLAS thread)."""
+    network._worker gives a worker (two usable CPUs, bundled OpenBLAS)."""
 
     @staticmethod
     def pool_models(dtype):
@@ -214,7 +215,7 @@ class TestPredictBlocks:
 
     def test_short_switch_interval_keeps_the_bits(self, monkeypatch):
         # the two threads hand the GIL over at nearly every bytecode
-        monkeypatch.setattr(network, "_use_second_thread", lambda: True)
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 2)
         m = noised_model(small_config(), 3, np.float32)
         img = small_images(41)
         interval = sys.getswitchinterval()
@@ -233,7 +234,7 @@ class TestPredictBlocks:
         def no_threads(*args, **kwargs):
             raise AssertionError("a thread pool was created")
 
-        monkeypatch.setattr(network, "_use_second_thread", lambda: False)
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(network, "ThreadPoolExecutor", no_threads)
         assert network.predict_batch(m, img).tobytes() == want.tobytes()
 
@@ -248,7 +249,7 @@ class TestPredictBlocks:
                 raise RuntimeError(f"block at image {start}")
             return forward(model, images, **kwargs)
 
-        monkeypatch.setattr(network, "_use_second_thread", lambda: True)
+        monkeypatch.setattr(network, "_usable_cpus", lambda: 2)
         threads = threading.active_count()
         with monkeypatch.context() as patch:
             patch.setattr(network, "forward", failing_forward)
@@ -286,33 +287,89 @@ class TestPredictBlocks:
 
 
 class TestWorkerPolicy:
-    """One function decides every worker thread: two usable CPUs, and
-    numpy's BLAS known to run one thread."""
+    """One function, network._worker, decides every worker thread: with two
+    usable CPUs and numpy's bundled OpenBLAS settable, one worker, and that
+    OpenBLAS at one thread while it lives; otherwise no worker, and the BLAS
+    count left alone."""
 
-    @pytest.mark.parametrize("cpus, blas, allowed", [
-        (1, 1, False), (2, 2, False), (2, None, False), (2, 1, True), (4, 1, True)])
-    def test_cpus_and_blas_threads(self, monkeypatch, cpus, blas, allowed):
-        monkeypatch.setattr(network, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(network, "_blas_threads", lambda: blas)
-        assert network._use_second_thread() is allowed
-
-    def test_blas_threads_follow_the_environment(self):
-        if network._blas_threads() is None:
+    @pytest.fixture
+    def openblas(self):
+        found = network._bundled_openblas()
+        if found is None:
             pytest.skip("numpy's BLAS is not its bundled OpenBLAS")
-        code = "from stoseg import network; print(network._blas_threads())"
-        src = str(Path(network.__file__).parents[1])
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out == "1\n"
+        before = found[0]()
+        yield found
+        found[1](before)
 
-    def test_unknown_blas_counts_as_threaded(self, monkeypatch, tmp_path):
-        fake = tmp_path / "numpy" / "__init__.py"
-        monkeypatch.setattr(network.np, "__file__", str(fake))
-        assert network._blas_threads() is None
+    @pytest.mark.parametrize("cpus, blas, worker", [
+        (1, 1, False), (1, 2, False), (2, 1, True), (2, 2, True), (2, None, False),
+        (4, 1, True), (4, 2, True)])
+    def test_cpus_and_blas_threads(self, monkeypatch, tmp_path, openblas, cpus, blas, worker):
+        """``blas`` is the count before the context, None for no bundled OpenBLAS."""
+        get_threads, set_threads = openblas
+        monkeypatch.setattr(network, "_usable_cpus", lambda: cpus)
+        if blas is None:
+            monkeypatch.setattr(network.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        set_threads(blas or 2)
+        before = get_threads()
+        with network._worker() as pool:
+            assert (pool is not None) is worker
+            assert get_threads() == (1 if worker else before)
+        assert get_threads() == before
+        with network._worker(wanted=False) as pool:
+            assert pool is None and get_threads() == before
+
+    def test_calls_run_one_blas_thread_and_restore_the_count(self, openblas):
+        code = textwrap.dedent("""
+            import json
+            import numpy as np
+            from stoseg import data, losses, network
+            network._usable_cpus = lambda: 2
+            get_threads, _ = network._bundled_openblas()
+            cfg = network.NetworkConfig(input_size=16, stem_width=4, down_width=8,
+                                        aspp_width=4, fuse_width=8)
+            model = network.build_model(cfg, ("relu",) * cfg.site_count, 0)
+            samples = list(data.synth_blobs(8, 16, 0))
+            images = np.stack([s.image for s in samples])
+            train = lambda: losses.train_model(model, samples, losses.TrainConfig(epochs=1))
+            predict = lambda: network.predict_batch(model, images)
+            forward, inside, seen = network.forward, [], {"before": get_threads()}
+
+            def recording(*args, **kwargs):
+                inside.append(get_threads())
+                return forward(*args, **kwargs)
+
+            def failing(*args, **kwargs):
+                raise RuntimeError("forward failed")
+
+            for name, call in (("train", train), ("predict", predict)):
+                inside.clear()
+                network.forward = recording
+                call()
+                seen[name], seen[f"after {name}"] = sorted(set(inside)), get_threads()
+                network.forward = failing
+                try:
+                    call()
+                except RuntimeError:
+                    seen[f"after failed {name}"] = get_threads()
+            print(json.dumps(seen))
+        """)
+        src = str(Path(network.__file__).parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        before = min(2, network._usable_cpus())  # OpenBLAS caps the variable at the CPUs
+        assert json.loads(out) == {
+            "before": before, "train": [1], "after train": before,
+            "after failed train": before, "predict": [1], "after predict": before,
+            "after failed predict": before}
+
+    def test_missing_or_bogus_library_is_not_found(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(network.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert network._bundled_openblas() is None
         (tmp_path / "numpy.libs").mkdir()
         (tmp_path / "numpy.libs" / "libscipy_openblas64_-0.so").write_bytes(b"not a library")
-        assert network._blas_threads() is None
+        assert network._bundled_openblas() is None
 
 
 class TestVariants:
