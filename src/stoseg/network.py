@@ -26,8 +26,8 @@ writes each block's probabilities into its own rows of one preallocated
 output. Every op of the forward pass works per image or per pixel (the
 conv's batched matmul is one GEMM of the same shape per image), so the
 result is bit-identical to one pass over the whole batch; blocking only
-bounds the intermediates, to those of ``_PREDICT_BLOCK`` (4) images in
-flight.
+bounds the intermediates, to those of one block of ``_PREDICT_BLOCK`` (4)
+images per thread in flight.
 
 One function, ``_worker``, decides every worker thread of the package:
 with at least two usable CPUs and numpy's bundled OpenBLAS settable, it
@@ -46,25 +46,30 @@ changed. ``_run`` is the one place that hands the worker work;
 the plan.
 
 When ``_worker`` gives a worker and there are more than ``_PREDICT_BLOCK``
-images, ``predict_batch``'s blocks are halves (2 images), and the caller's
-thread and one worker thread take them in turn, so two half-blocks are in
-flight. numpy releases the GIL inside the GEMMs, ufunc loops and copies
-that take most of a block's time, and a block reads only the model and its
-own images and writes only its own rows, so the bits stay the same. Two
-threads, not one per CPU: the Python between numpy calls still holds the
-GIL, and each block in flight adds its working set to the peak. The worker
-lives inside the call and is joined before the call returns or raises.
+images, the caller's thread and one worker thread each take the next block
+start from one shared iterator until none is left, so a thread that falls
+behind (a late GIL hand-over, another process on its CPU) leaves the other
+no idle wait at the end of the call. In a CPython with the GIL (CI runs
+3.10 and 3.12), ``next`` on a range iterator is one C call that holds it,
+so each start is taken exactly once; a free-threaded build would need a
+lock there. When a block raises, its thread drains the iterator, so no
+further block starts in either thread. numpy releases the GIL inside the
+GEMMs, ufunc loops and copies that take most of a block's time, and a
+block reads only the model and its own images and writes only its own
+rows, so which thread runs a block does not change its bits. Two threads,
+not one per CPU: the Python between numpy calls still holds the GIL, and
+each block in flight adds its working set to the peak. The worker lives
+inside the call and is joined before the call returns or raises.
 
 Memory: at the default config, numpy's traced peak while one member
-predicts 64 images is about 7.7 MB (2 MB of it the output) instead of 91 MB
-in one pass. Four images in flight (about 5 MB) stay below the heap-trim
-threshold that glibc's malloc adapts to the largest array freed so far, so
-the next blocks reuse the pages the last ones freed; with blocks of 8
-(about 10 MB) those pages went back to the kernel and were faulted in again
-for every block. The worker thread allocates from its own malloc arena and
-BLAS buffer, beside pages the caller's arena already holds, so two whole
-blocks of 4 in flight (13 MB traced) raised a scored relu ensemble's peak
-RSS by 9-18%, against 5-10% for two halves.
+predicts 64 images is about 13.3 MB (2 MB of it the output), with at most
+two blocks of 4 in flight, one per thread, instead of 91 MB in one pass; a
+4-image block run by the caller alone peaks at 5.7 MB. Four images per
+block (about 5 MB) stay below the heap-trim threshold that glibc's malloc
+adapts to the largest array freed so far, so the next blocks reuse the
+pages the last ones freed; with blocks of 8 (about 10 MB) those pages went
+back to the kernel and were faulted in again for every block. The worker
+allocates from its own malloc arena and BLAS buffer.
 
 Gradients are exchanged as a "GradMap": a plain dict from parameter name
 ("stem.w", "act0.params", ...) to an array of the parameter's shape. Every
@@ -104,7 +109,7 @@ CHECKPOINT_FORMAT = "stoseg-model"
 CHECKPOINT_VERSION = 1
 
 _UPSAMPLE = 4  # decoder upsampling factor
-_PREDICT_BLOCK = 4  # images in flight in predict_batch
+_PREDICT_BLOCK = 4  # images of one predict_batch block; each thread runs one at a time
 
 Layer = tuple[str, ops.ConvSpec]
 
@@ -436,31 +441,39 @@ def predict_batch(model: Model, images: np.ndarray) -> np.ndarray:
     """Probability maps (n, 2, S, S) for (n, 3, S, S) images, cast to the
     model's dtype: ``forward`` over consecutive blocks of images, each
     written into its own rows of one preallocated output. Bit-identical to
-    ``forward(model, images)[0]``, with the working set of
-    ``_PREDICT_BLOCK`` images.
+    ``forward(model, images)[0]``, with the working set of one block of
+    ``_PREDICT_BLOCK`` images per thread.
 
     Up to ``_PREDICT_BLOCK`` images, or when ``_worker`` gives no worker
-    (one usable CPU, or no bundled OpenBLAS), the caller runs blocks of
-    ``_PREDICT_BLOCK`` one after another. Otherwise the blocks are halves,
-    the caller taking the even ones and one worker thread the odd ones, with
-    numpy's OpenBLAS at one thread during the call, for every thread of the
-    process. The worker is joined and the BLAS count restored before this
-    returns or raises; an error of either thread's blocks is raised (the
-    caller's if both fail)."""
+    (one usable CPU, or no bundled OpenBLAS), the caller runs the blocks one
+    after another. Otherwise the caller and one worker thread each take the
+    next block from one shared iterator until none is left, with numpy's
+    OpenBLAS at one thread during the call, for every thread of the
+    process. A block that raises stops its thread and drains the iterator,
+    so no further block starts in either thread. The worker is joined and
+    the BLAS count restored before this returns or raises; an error of
+    either thread's blocks is raised (the caller's if both fail)."""
     images = images.astype(model.dtype, copy=False)
     _check_images(model.config, images)
     n, _, size, _ = images.shape
     probs = np.empty((n, model.config.num_classes, size, size), model.dtype)
 
     with _worker(n > _PREDICT_BLOCK) as pool:
-        step = _PREDICT_BLOCK if pool is None else _PREDICT_BLOCK // 2
-        starts = range(0, n, step)
+        # shared by both threads; under the GIL each next is atomic (see the
+        # module docstring)
+        starts = iter(range(0, n, _PREDICT_BLOCK))
 
-        def run(block_starts):
-            for i in block_starts:
-                probs[i : i + step] = forward(model, images[i : i + step])[0]
+        def run():
+            try:
+                for i in starts:
+                    block = slice(i, i + _PREDICT_BLOCK)
+                    probs[block] = forward(model, images[block])[0]
+            except BaseException:
+                for _ in starts:  # no further block starts in either thread
+                    pass
+                raise
 
-        _run(pool, run, [(starts,)] if pool is None else [(starts[::2],), (starts[1::2],)])
+        _run(pool, run, [()] if pool is None else [(), ()])
     return probs
 
 
